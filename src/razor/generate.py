@@ -9,8 +9,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterator, Mapping, Optional
+from itertools import combinations, groupby
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .logic import (
     Const,
@@ -97,7 +97,6 @@ class Constraint:
     kind: ConstraintKind
     hypothesis: Optional[Hypothesis] = None
     evidence: Optional[PointlessEvidence] = None
-    source: Optional[Hypothesis] = None  # which tested hypothesis produced it
 
     def key(self) -> tuple:
         if self.kind is ConstraintKind.POINTLESS_SUPER_RULE:
@@ -108,31 +107,11 @@ class Constraint:
         return (self.kind.value, hypothesis_key(self.hypothesis))
 
 
-@lru_cache(maxsize=None)
-def _pred_counts(rule: Rule) -> dict[PredKey, int]:
+def _pred_counts(lits: Iterable[Literal]) -> dict[PredKey, int]:
     counts: dict[PredKey, int] = {}
-    for lit in rule.body:
+    for lit in lits:
         counts[lit.pred_key] = counts.get(lit.pred_key, 0) + 1
     return counts
-
-
-def _counts_subset(small: dict, big: dict) -> bool:
-    for key, n in small.items():
-        if big.get(key, 0) < n:
-            return False
-    return True
-
-
-def _could_match(p: Rule, r: Rule) -> bool:
-    return (
-        p.head.pred_key == r.head.pred_key
-        and len(p.body) <= len(r.body)
-        and _counts_subset(_pred_counts(p), _pred_counts(r))
-    )
-
-
-def _renamed_subrule_fast(p: Rule, r: Rule) -> bool:
-    return _could_match(p, r) and renamed_subrule(p, r)
 
 
 @lru_cache(maxsize=None)
@@ -162,14 +141,7 @@ def _sub_signatures_of(head_key: PredKey, counts: dict[PredKey, int],
 def _rule_sub_signatures(rule: Rule) -> tuple[tuple, ...]:
     """Every (head, body-pred-submultiset) signature of the rule; another
     rule can only match into it if its full signature is one of these."""
-    return tuple(_sub_signatures_of(rule.head.pred_key, _pred_counts(rule)))
-
-
-def _body_sub_signatures(head_key: PredKey, body: list[Literal]) -> list[tuple]:
-    counts: dict[PredKey, int] = {}
-    for lit in body:
-        counts[lit.pred_key] = counts.get(lit.pred_key, 0) + 1
-    return _sub_signatures_of(head_key, counts)
+    return tuple(_sub_signatures_of(rule.head.pred_key, _pred_counts(rule.body)))
 
 
 def _pointless_match(c: Constraint, r: Rule) -> Optional[tuple[Rule, Literal, Rule]]:
@@ -183,10 +155,7 @@ def _pointless_match(c: Constraint, r: Rule) -> Optional[tuple[Rule, Literal, Ru
     dispensable.
     """
     assert c.evidence is not None
-    p = c.evidence.rule
-    if not _could_match(p, r):
-        return None
-    for theta in iter_renamings(p, r):
+    for theta in iter_renamings(c.evidence.rule, r):
         image = rename_literal(c.evidence.literal, theta)
         reduced = Rule(r.head, r.body - {image})
         if in_search_space(reduced):
@@ -221,12 +190,12 @@ def violates(h: Hypothesis, c: Constraint) -> bool:
     if c.kind is ConstraintKind.SPECIALISATION:
         assert c.hypothesis is not None
         return all(
-            any(_renamed_subrule_fast(r0, r) for r0 in c.hypothesis) for r in h
+            any(renamed_subrule(r0, r) for r0 in c.hypothesis) for r in h
         )
     if c.kind is ConstraintKind.GENERALISATION:
         assert c.hypothesis is not None
         return all(
-            any(_renamed_subrule_fast(r, r0) for r in h) for r0 in c.hypothesis
+            any(renamed_subrule(r, r0) for r in h) for r0 in c.hypothesis
         )
     if c.kind is ConstraintKind.POINTLESS_SUPER_RULE:
         return pointless_violation(h, c) is not None
@@ -254,19 +223,17 @@ class ConstraintStore:
     signatures for fast matching; duplicate adds are no-ops."""
 
     def __init__(self):
-        self.constraints: list[Constraint] = []
         self._keys: set[tuple] = set()
+        self.count = dict.fromkeys(ConstraintKind, 0)  # stored constraints per kind
         self.banished: set[tuple] = set()
         # specialisation: stored rule -> matches into a candidate rule;
         # bucketed by the stored rule's full signature
-        self.spec_count = 0
         self.spec_by_sig: dict[tuple, list[tuple[int, Rule]]] = {}
         # generalisation: candidate rule -> matches into the stored rule;
         # entries bucketed under every sub-signature of the stored rule so a
         # candidate resolves with a single lookup of its own signature
         self.gen: list[tuple[Rule, ...]] = []
         self.gen_by_sig: dict[tuple, list[tuple[int, int, Rule]]] = {}
-        self.pointless: list[Constraint] = []
         self.pointless_by_sig: dict[tuple, list[Constraint]] = {}
         self._hits: dict[Rule, _RuleHits] = {}
 
@@ -275,14 +242,12 @@ class ConstraintStore:
         if key in self._keys:
             return False
         self._keys.add(key)
-        self.constraints.append(c)
         if c.kind is ConstraintKind.BANISH:
             assert c.hypothesis is not None
             self.banished.add(hypothesis_key(c.hypothesis))
         elif c.kind is ConstraintKind.SPECIALISATION:
             assert c.hypothesis is not None
-            cid = self.spec_count
-            self.spec_count += 1
+            cid = self.count[ConstraintKind.SPECIALISATION]
             for r0 in hypothesis_sorted(c.hypothesis):
                 self.spec_by_sig.setdefault(_signature(r0), []).append((cid, r0))
         elif c.kind is ConstraintKind.GENERALISATION:
@@ -294,20 +259,17 @@ class ConstraintStore:
                 for sig in _rule_sub_signatures(r0):
                     self.gen_by_sig.setdefault(sig, []).append((cid, idx, r0))
         else:
-            self.pointless.append(c)
             assert c.evidence is not None
             sig = _signature(c.evidence.rule)
             self.pointless_by_sig.setdefault(sig, []).append(c)
+        self.count[c.kind] += 1
         return True
 
     def __len__(self) -> int:
-        return len(self.constraints)
+        return sum(self.count.values())
 
     def counts(self) -> dict[str, int]:
-        out = {k.value: 0 for k in ConstraintKind}
-        for c in self.constraints:
-            out[c.kind.value] += 1
-        return out
+        return {kind.value: n for kind, n in self.count.items()}
 
     def is_banished(self, h: Hypothesis) -> bool:
         return hypothesis_key(h) in self.banished
@@ -323,12 +285,13 @@ class ConstraintStore:
 
     def spec_ids(self, r: Rule) -> set[int]:
         hits = self._rule_hits(r)
-        if hits.spec_seen != self.spec_count:
+        n_spec = self.count[ConstraintKind.SPECIALISATION]
+        if hits.spec_seen != n_spec:
             for sig in _rule_sub_signatures(r):
                 for cid, r0 in self.spec_by_sig.get(sig, ()):
                     if cid not in hits.spec_ids and renamed_subrule(r0, r):
                         hits.spec_ids.add(cid)
-            hits.spec_seen = self.spec_count
+            hits.spec_seen = n_spec
         return hits.spec_ids
 
     def gen_hits(self, r: Rule) -> dict[int, set[int]]:
@@ -344,15 +307,16 @@ class ConstraintStore:
         hits = self._rule_hits(r)
         if hits.pointless_match is not None:
             return hits.pointless_match
-        if hits.pointless_seen != len(self.pointless):
+        n_pointless = self.count[ConstraintKind.POINTLESS_SUPER_RULE]
+        if hits.pointless_seen != n_pointless:
             for sig in _rule_sub_signatures(r):
                 for c in self.pointless_by_sig.get(sig, ()):
                     m = _pointless_match(c, r)
                     if m is not None:
                         hits.pointless_match = (c, *m)
-                        hits.pointless_seen = len(self.pointless)
+                        hits.pointless_seen = n_pointless
                         return hits.pointless_match
-            hits.pointless_seen = len(self.pointless)
+            hits.pointless_seen = n_pointless
         return hits.pointless_match
 
     # -- hypothesis-level checks ------------------------------------------
@@ -361,7 +325,7 @@ class ConstraintStore:
         if self.is_banished(h):
             return True
         rules = list(h)
-        if self.spec_count:
+        if self.count[ConstraintKind.SPECIALISATION]:
             common: Optional[set[int]] = None
             for r in rules:
                 ids = self.spec_ids(r)
@@ -383,7 +347,7 @@ class ConstraintStore:
     def first_pointless_violation(
         self, h: Hypothesis
     ) -> Optional[tuple[Constraint, Rule, Literal, Rule]]:
-        if not self.pointless:
+        if not self.count[ConstraintKind.POINTLESS_SUPER_RULE]:
             return None
         for r in hypothesis_sorted(h):
             m = self.pointless_match(r)
@@ -416,6 +380,15 @@ def _compositions(total: int, parts: int, minimum: int = 2) -> Iterator[tuple[in
     for first in range(minimum, total // parts + 1):
         for rest in _compositions(total - first, parts - 1, first):
             yield (first, *rest)
+
+
+def rule_groups(size: int, max_rules: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The (rule size, count) groups, ascending by rule size, of every
+    nondecreasing split of a total size into 1..max_rules rules of at
+    least two literals each."""
+    for k in range(1, max_rules + 1):
+        for comp in _compositions(size, k):
+            yield tuple((part, len(list(run))) for part, run in groupby(comp))
 
 
 class HypothesisGenerator:
@@ -466,7 +439,7 @@ class HypothesisGenerator:
         index = self.store.pointless_by_sig
         head_vars = head.vars()
         partial = Rule(head, frozenset(body))
-        for sig in _body_sub_signatures(head.pred_key, body):
+        for sig in _sub_signatures_of(head.pred_key, _pred_counts(body)):
             for c in index.get(sig, ()):
                 ev = c.evidence
                 assert ev is not None
@@ -489,7 +462,8 @@ class HypothesisGenerator:
             return []
         head = self._head()
         preds = bias.generatable_preds()
-        fail_fast = not bias.recursion and not self.audit
+        fail_fast = (not bias.recursion and not self.audit
+                     and self.store.count[ConstraintKind.POINTLESS_SUPER_RULE] > 0)
         out: dict[tuple, Rule] = {}
 
         def extend(body: list[Literal], used: int):
@@ -503,7 +477,7 @@ class HypothesisGenerator:
             last = abstract_key(body[-1]) if body else None
             # interior nodes only: complete rules are filtered against the
             # constraint store at selection time anyway
-            check = fail_fast and len(body) + 2 <= body_size and bool(self.store.pointless)
+            check = fail_fast and len(body) + 2 <= body_size
             for pred in preds:
                 for lit, used2 in self._literal_choices(pred, used):
                     if last is not None and abstract_key(lit) < last:
@@ -527,45 +501,32 @@ class HypothesisGenerator:
     def _candidates(self, size: int) -> Iterator[Hypothesis]:
         filter_rules = not self.bias.recursion and not self.audit
         store = self.store
-        for k in range(1, self.bias.max_rules + 1):
-            for comp in _compositions(size, k):
-                groups: list[tuple[int, int]] = []
-                for part in comp:
-                    if groups and groups[-1][0] == part:
-                        groups[-1] = (part, groups[-1][1] + 1)
-                    else:
-                        groups.append((part, 1))
+        for groups in rule_groups(size, self.bias.max_rules):
 
-                def pick(gi: int, chosen: tuple[Rule, ...]) -> Iterator[Hypothesis]:
-                    if gi == len(groups):
-                        yield frozenset(chosen)
-                        return
-                    part, count = groups[gi]
-                    pool = self.rule_stratum(part)
-                    if filter_rules and store.pointless:
-                        pool = [r for r in pool if store.pointless_match(r) is None]
-                    for sel in combinations(pool, count):
-                        yield from pick(gi + 1, chosen + sel)
+            def pick(gi: int, chosen: tuple[Rule, ...]) -> Iterator[Hypothesis]:
+                if gi == len(groups):
+                    yield frozenset(chosen)
+                    return
+                part, count = groups[gi]
+                pool = self.rule_stratum(part)
+                if filter_rules and store.count[ConstraintKind.POINTLESS_SUPER_RULE]:
+                    pool = [r for r in pool if store.pointless_match(r) is None]
+                for sel in combinations(pool, count):
+                    yield from pick(gi + 1, chosen + sel)
 
-                yield from pick(0, ())
+            yield from pick(0, ())
 
     def _passes(self, h: Hypothesis) -> bool:
-        store = self.store
-        if self.audit:
-            non_p = store.violated_non_pointless(h)
-            pv = store.first_pointless_violation(h)
-            if non_p:
-                return False
-            if pv is not None:
-                c, rule, lit, reduced = pv
-                self.audit_records.append(AuditRecord(h, c, rule, lit, reduced))
-                return False
+        """Whether h survives every stored constraint; under audit, a
+        rejection by a pointless constraint alone is recorded."""
+        if self.store.violated_non_pointless(h):
+            return False
+        pv = self.store.first_pointless_violation(h)
+        if pv is None:
             return True
-        if store.violated_non_pointless(h):
-            return False
-        if store.first_pointless_violation(h) is not None:
-            return False
-        return True
+        if self.audit:
+            self.audit_records.append(AuditRecord(h, *pv))
+        return False
 
     def _stream(self, size: int) -> Iterator[Hypothesis]:
         for h in self._candidates(size):
@@ -582,6 +543,3 @@ class HypothesisGenerator:
             stream = self._stream(size)
             self._streams[size] = stream
         return next(stream, None)
-
-    def add_constraint(self, c: Constraint) -> bool:
-        return self.store.add(c)

@@ -1,16 +1,18 @@
 """Exhaustive, pruning-free ground truth.
 
 Enumerates the complete canonical hypothesis space of a bias by brute
-force (independent of the search-time generator) and certifies optima by
-testing everything.  A hard candidate ceiling guards against silent
-under-enumeration: the oracle refuses rather than truncates.
+force and certifies optima by testing everything.  Only the split of a
+size into rule sizes (``rule_groups``) is shared with the search-time
+generator; rule assembly is independent of it and applies no constraint.
+A hard candidate ceiling guards against silent under-enumeration: the
+oracle refuses rather than truncates.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 from math import comb
-from .generate import Bias, _compositions
+from .generate import Bias, rule_groups
 from .logic import (
     Hypothesis,
     Literal,
@@ -68,15 +70,11 @@ def _rule_stratum(bias: Bias, rule_size: int, ceiling: int) -> list[Rule]:
 
 def _hypothesis_count(per_size: dict[int, int], size: int, max_rules: int) -> int:
     total = 0
-    for k in range(1, max_rules + 1):
-        for comp in _compositions(size, k):
-            groups: dict[int, int] = {}
-            for part in comp:
-                groups[part] = groups.get(part, 0) + 1
-            n = 1
-            for part, count in groups.items():
-                n *= comb(per_size.get(part, 0), count)
-            total += n
+    for groups in rule_groups(size, max_rules):
+        n = 1
+        for part, count in groups:
+            n *= comb(per_size.get(part, 0), count)
+        total += n
     return total
 
 
@@ -92,18 +90,11 @@ def enumerate_all(bias: Bias, size: int, ceiling: int = DEFAULT_CEILING) -> set[
             f"hypothesis stratum at size {size} exceeds the ceiling {ceiling}"
         )
     out: set[Hypothesis] = set()
-    for k in range(1, bias.max_rules + 1):
-        for comp in _compositions(size, k):
-            groups: list[tuple[int, int]] = []
-            for part in comp:
-                if groups and groups[-1][0] == part:
-                    groups[-1] = (part, groups[-1][1] + 1)
-                else:
-                    groups.append((part, 1))
-            pools = [combinations(strata.get(part, ()), count) for part, count in groups]
-            for selection in product(*pools):
-                rules = tuple(r for group in selection for r in group)
-                out.add(frozenset(rules))
+    for groups in rule_groups(size, bias.max_rules):
+        pools = [combinations(strata.get(part, ()), count) for part, count in groups]
+        for selection in product(*pools):
+            rules = tuple(r for group in selection for r in group)
+            out.add(frozenset(rules))
     return out
 
 

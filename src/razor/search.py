@@ -9,7 +9,7 @@ the first zero-error hypothesis is optimal because sizes ascend.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .datalog import FactStore, covers_rule, least_model
@@ -65,17 +65,7 @@ class Stats:
     seed: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return {
-            "generated": self.generated,
-            "tested": self.tested,
-            "nodes_explored": self.nodes_explored,
-            "constraints": dict(self.constraints),
-            "evidence": dict(self.evidence),
-            "time_total": self.time_total,
-            "time_detection": self.time_detection,
-            "time_testing": self.time_testing,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -158,12 +148,12 @@ def build_cons(h: Hypothesis, score: CostScore, fn: int, fp: int,
     itself is always banished; missing a positive dooms its specialisations
     and covering a negative dooms its generalisations, which is sound only
     when a zero-error hypothesis exists (noiseless mode)."""
-    cons = [Constraint(ConstraintKind.BANISH, hypothesis=h, source=h)]
+    cons = [Constraint(ConstraintKind.BANISH, hypothesis=h)]
     if not noisy:
         if fn > 0:
-            cons.append(Constraint(ConstraintKind.SPECIALISATION, hypothesis=h, source=h))
+            cons.append(Constraint(ConstraintKind.SPECIALISATION, hypothesis=h))
         if fp > 0:
-            cons.append(Constraint(ConstraintKind.GENERALISATION, hypothesis=h, source=h))
+            cons.append(Constraint(ConstraintKind.GENERALISATION, hypothesis=h))
     return cons
 
 
@@ -240,9 +230,7 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
                     evidence_log.append(ev)
                     stats.evidence[ev.kind.value] += 1
                     store.add(Constraint(
-                        ConstraintKind.POINTLESS_SUPER_RULE,
-                        evidence=ev, source=h,
-                    ))
+                        ConstraintKind.POINTLESS_SUPER_RULE, evidence=ev))
 
     termination = EXHAUSTED
     return finish()

@@ -262,7 +262,9 @@ def parse_bias(text: str, path: str = BIAS_FILE) -> Bias:
     body_preds: list[PredKey] = []
     bounds = {"max_vars": 4, "max_body": 4, "max_rules": 1}
     recursion = False
-    constants: dict[tuple[str, int], list[Const]] = {}
+    constant_decls: list[ParsedLiteral] = []
+    # the last directive of each name, to locate errors the Bias raises
+    at: dict[str, ParsedLiteral] = {}
 
     def _err(msg: str, pl: ParsedLiteral):
         raise TaskError(msg, path, pl.line, pl.col)
@@ -279,6 +281,7 @@ def parse_bias(text: str, path: str = BIAS_FILE) -> Bias:
             _err("bias files contain only directives", pl)
         if pl.pred not in _DIRECTIVES:
             _err(f"unknown bias directive {pl.pred!r}", pl)
+        at[pl.pred] = pl
         if pl.pred == "head_pred":
             if head is not None:
                 _err("duplicate head_pred declaration", pl)
@@ -301,8 +304,7 @@ def parse_bias(text: str, path: str = BIAS_FILE) -> Bias:
                     or not isinstance(pl.args[1], Const) or not pl.args[1].name.isdigit() \
                     or not isinstance(pl.args[2], ConstList):
                 _err("constant expects (pred, position, [values])", pl)
-            key = (pl.args[0].name, int(pl.args[1].name))
-            constants.setdefault(key, []).extend(pl.args[2].items)
+            constant_decls.append(pl)
 
     if head is None:
         raise TaskError("missing head_pred declaration", path, 1, 1)
@@ -314,21 +316,15 @@ def parse_bias(text: str, path: str = BIAS_FILE) -> Bias:
     declared = {p[0]: p for p in body_preds}
     if recursion:
         declared.setdefault(head[0], head)
-    for (name, pos), values in constants.items():
+    for pl in constant_decls:
+        name, pos = pl.args[0].name, int(pl.args[1].name)
         decl = declared.get(name)
         if decl is None:
-            raise TaskError(f"constant declaration for undeclared predicate {name!r}",
-                            path, 1, 1)
+            _err(f"constant declaration for undeclared predicate {name!r}", pl)
         if not (1 <= pos <= decl[1]):
-            raise TaskError(
-                f"constant position {pos} out of range for {name}/{decl[1]}",
-                path, 1, 1,
-            )
-        seen: list[Const] = []
-        for v in values:
-            if v not in seen:
-                seen.append(v)
-        resolved[(decl, pos - 1)] = tuple(seen)
+            _err(f"constant position {pos} out of range for {name}/{decl[1]}", pl)
+        key = (decl, pos - 1)
+        resolved[key] = tuple(dict.fromkeys(resolved.get(key, ()) + pl.args[2].items))
 
     try:
         return Bias(
@@ -341,7 +337,9 @@ def parse_bias(text: str, path: str = BIAS_FILE) -> Bias:
             recursion=recursion,
         )
     except BiasError as exc:
-        raise TaskError(str(exc), path, 1, 1) from exc
+        # a bound below 1 is the one check that does not involve the head
+        culprit = next((at[n] for n in bounds if bounds[n] < 1), at["head_pred"])
+        raise TaskError(str(exc), path, culprit.line, culprit.col) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -476,19 +474,26 @@ def _constant_domain(task: Task) -> tuple[Const, ...]:
     return tuple(sorted(out, key=lambda c: c.name))
 
 
-def parse_task_strings(bias_text: str, bk_text: str, exs_text: str,
-                       name: str = "<memory>",
-                       test_exs_text: Optional[str] = None) -> Task:
-    bias = parse_bias(bias_text, f"{name}/{BIAS_FILE}")
-    bk = parse_bk(bk_text, bias, f"{name}/{BK_FILE}")
-    pos, neg = parse_examples(exs_text, bias, f"{name}/{EXS_FILE}")
+def _build_task(name: str, where: str, bias_text: str, bk_text: str,
+                exs_text: str, test_exs_text: Optional[str]) -> Task:
+    """Parse the texts of a task's files; errors are located at
+    ``where/<file name>``."""
+    bias = parse_bias(bias_text, f"{where}/{BIAS_FILE}")
+    bk = parse_bk(bk_text, bias, f"{where}/{BK_FILE}")
+    pos, neg = parse_examples(exs_text, bias, f"{where}/{EXS_FILE}")
     test_pos: list[Literal] = []
     test_neg: list[Literal] = []
     if test_exs_text is not None:
         test_pos, test_neg = parse_examples(
-            test_exs_text, bias, f"{name}/{TEST_EXS_FILE}", require_pos=False)
+            test_exs_text, bias, f"{where}/{TEST_EXS_FILE}", require_pos=False)
     return Task(name=name, bk=bk, pos=pos, neg=neg, bias=bias,
                 test_pos=test_pos, test_neg=test_neg)
+
+
+def parse_task_strings(bias_text: str, bk_text: str, exs_text: str,
+                       name: str = "<memory>",
+                       test_exs_text: Optional[str] = None) -> Task:
+    return _build_task(name, name, bias_text, bk_text, exs_text, test_exs_text)
 
 
 def parse_task(directory: Union[str, Path]) -> Task:
@@ -498,17 +503,10 @@ def parse_task(directory: Union[str, Path]) -> Task:
     for required in (BIAS_FILE, BK_FILE, EXS_FILE):
         if not (d / required).is_file():
             raise TaskError(f"missing task file {required}", str(d / required))
-    bias = parse_bias((d / BIAS_FILE).read_text(), str(d / BIAS_FILE))
-    bk = parse_bk((d / BK_FILE).read_text(), bias, str(d / BK_FILE))
-    pos, neg = parse_examples((d / EXS_FILE).read_text(), bias, str(d / EXS_FILE))
-    test_pos: list[Literal] = []
-    test_neg: list[Literal] = []
     test_file = d / TEST_EXS_FILE
-    if test_file.is_file():
-        test_pos, test_neg = parse_examples(
-            test_file.read_text(), bias, str(test_file), require_pos=False)
-    return Task(name=d.name, bk=bk, pos=pos, neg=neg, bias=bias,
-                test_pos=test_pos, test_neg=test_neg)
+    test_text = test_file.read_text() if test_file.is_file() else None
+    return _build_task(d.name, str(d), (d / BIAS_FILE).read_text(),
+                       (d / BK_FILE).read_text(), (d / EXS_FILE).read_text(), test_text)
 
 
 # ---------------------------------------------------------------------------

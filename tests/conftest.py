@@ -1,11 +1,8 @@
-import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from razor import parse_task  # noqa: E402
+from razor import parse_task
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

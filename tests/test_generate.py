@@ -124,6 +124,19 @@ def test_add_constraint_idempotent(intro_task):
     assert not store.add(c)
     assert len(store) == 1
 
+    store = ConstraintStore()
+    h = _canon("f(A) :- odd(A).")
+    one_of_each = [
+        Constraint(ConstraintKind.SPECIALISATION, hypothesis=h),
+        Constraint(ConstraintKind.GENERALISATION, hypothesis=h),
+        Constraint(ConstraintKind.BANISH, hypothesis=h),
+        c,
+    ]
+    for con in one_of_each + one_of_each:
+        store.add(con)
+    assert len(store) == 4
+    assert store.counts() == {kind.value: 1 for kind in ConstraintKind}
+
 
 def test_store_mirrors_violates_semantics(intro_task):
     rng = random.Random(3)

@@ -1,10 +1,15 @@
+from itertools import combinations
+
 import pytest
 
 from helpers import parse_hypothesis
 
-from razor import Bias, CostScore, enumerate_all, oracle_optimal
+from razor import (Bias, CostScore, LearnConfig, enumerate_all, hypothesis_size,
+                   oracle_optimal)
 from razor.logic import canonicalize_hypothesis
-from razor.oracle import OracleCeilingError
+from razor.microtask import random_task
+from razor.oracle import (DEFAULT_CEILING, OracleCeilingError, _hypothesis_count,
+                          _rule_stratum)
 from razor.taskio import parse_task_strings
 
 
@@ -34,6 +39,29 @@ def test_enumerate_all_two_rule_stratum():
             parse_hypothesis("f(A) :- odd(A).\nf(A) :- even(A).")
         )
     }
+
+
+def test_enumerate_all_is_every_rule_set_of_the_size():
+    # counted from plain rule subsets, without the composition helpers
+    two_rule_biases = [random_task(3).task.bias, random_task(5).task.bias,
+                       random_task(1, recursion=True).task.bias,
+                       Bias(head=("f", 1), body_preds=(("odd", 1), ("even", 1)),
+                            max_vars=1, max_body=1, max_rules=2)]
+    for bias in two_rule_biases:
+        assert bias.max_rules == 2
+        strata = {s: _rule_stratum(bias, s, DEFAULT_CEILING)
+                  for s in range(2, bias.max_body + 2)}
+        rules = [r for stratum in strata.values() for r in stratum]
+        by_size: dict[int, set] = {}
+        for k in range(1, bias.max_rules + 1):
+            for chosen in combinations(rules, k):
+                h = frozenset(chosen)
+                by_size.setdefault(hypothesis_size(h), set()).add(h)
+        counts = {s: len(stratum) for s, stratum in strata.items()}
+        for size in range(1, bias.max_size + 1):
+            want = by_size.get(size, set())
+            assert enumerate_all(bias, size) == want, (bias, size)
+            assert _hypothesis_count(counts, size, bias.max_rules) == len(want)
 
 
 def test_ceiling_refusal_is_explicit():
@@ -75,4 +103,8 @@ def test_learn_agrees_with_oracle_on_every_fixture(
 
     for task in (intro_task, transitive_task, puzzle_task, trains_task):
         best, _ = oracle_optimal(task, task.bias.max_size)
-        assert learn(task).best_score == best, task.name
+        result = learn(task)
+        assert result.best_score == best, task.name
+        audited = learn(task, LearnConfig(audit=True))
+        assert audited.stats.generated == result.stats.generated, task.name
+        assert audited.best_score == result.best_score, task.name

@@ -40,6 +40,16 @@ def test_bias_constant_positions_are_validated():
         parse_bias("head_pred(f,1). body_pred(odd,1). constant(odd,3,[1]).")
     with pytest.raises(TaskError, match="undeclared"):
         parse_bias("head_pred(f,1). body_pred(odd,1). constant(zz,1,[1]).")
+    # errors point at the offending directive, not at the top of the file
+    lines = "head_pred(f,2).\nbody_pred(lt,2).\nmax_vars(2).\n"
+    with pytest.raises(TaskError, match=r"^<memory>/bias\.pl:4:1: constant position 5 out of range"):
+        parse_task_strings(lines + "constant(lt,5,[1,2]).\n", "lt(1,2).", "pos(f(1,2)).")
+    with pytest.raises(TaskError, match=r"^bias\.pl:4:1: constant declaration for undeclared"):
+        parse_bias(lines + "constant(zz,1,[1]).\n")
+    with pytest.raises(TaskError, match=r"^bias\.pl:3:1: head arity 2 exceeds max_vars 1"):
+        parse_bias("body_pred(lt,2).\nmax_vars(1).\nhead_pred(f,2).\n")
+    with pytest.raises(TaskError, match=r"^bias\.pl:2:1: max_vars, max_body and max_rules"):
+        parse_bias("head_pred(f,1).\nmax_body(0).\nbody_pred(odd,1).\n")
 
 
 def test_bias_requires_declarations():
