@@ -7,10 +7,11 @@ specialisation/generalisation pruning."""
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, groupby
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .logic import (
     Const,
@@ -39,6 +40,11 @@ PredKey = tuple[str, int]
 
 class BiasError(ValueError):
     pass
+
+
+class DeadlineExceeded(Exception):
+    """The generator's deadline passed before the next candidate was
+    found."""
 
 
 @dataclass(frozen=True)
@@ -107,41 +113,42 @@ class Constraint:
         return (self.kind.value, hypothesis_key(self.hypothesis))
 
 
-def _pred_counts(lits: Iterable[Literal]) -> dict[PredKey, int]:
-    counts: dict[PredKey, int] = {}
-    for lit in lits:
-        counts[lit.pred_key] = counts.get(lit.pred_key, 0) + 1
-    return counts
+@lru_cache(maxsize=None)
+def _literal_key(lit: Literal, head: Literal) -> tuple:
+    """Head-anchored index key of a body literal: its predicate and
+    arguments, where a constant stays itself, a head variable becomes its
+    first head position and any other variable is masked.  An injective
+    renaming that maps one head onto another sends head variables to the
+    same positions and the other variables to other variables, so it
+    preserves every key."""
+    toks = []
+    for t in lit.args:
+        if isinstance(t, Const):
+            toks.append((0, t.name))
+        elif t in head.args:
+            toks.append((1, head.args.index(t)))
+        else:
+            toks.append((2,))
+    return (lit.pred, tuple(toks))
 
 
 @lru_cache(maxsize=None)
-def _signature(rule: Rule) -> tuple:
-    return (rule.head.pred_key, tuple(sorted(lit.pred_key for lit in rule.body)))
+def _rule_key(rule: Rule) -> tuple:
+    """Index key of a rule: p renames into r only if _rule_key(p) is one of
+    the sub-keys of r."""
+    return (abstract_key(rule.head),
+            *sorted(_literal_key(lit, rule.head) for lit in rule.body))
 
 
-def _sub_signatures_of(head_key: PredKey, counts: dict[PredKey, int],
-                       allow_empty: bool = False) -> list[tuple]:
-    keys = sorted(counts)
-    out: list[tuple] = []
-
-    def expand(i: int, acc: tuple):
-        if i == len(keys):
-            if acc or allow_empty:
-                out.append((head_key, acc))
-            return
-        key = keys[i]
-        for n in range(counts[key] + 1):
-            expand(i + 1, acc + (key,) * n)
-
-    expand(0, ())
-    return out
+def _sub_keys(rule: Rule) -> tuple[tuple, ...]:
+    """The index key of every sub-body of the rule, the empty one included."""
+    head_key = abstract_key(rule.head)
+    keys = sorted(_literal_key(lit, rule.head) for lit in rule.body)
+    return tuple(dict.fromkeys(
+        (head_key, *sub) for n in range(len(keys) + 1) for sub in combinations(keys, n)))
 
 
-@lru_cache(maxsize=None)
-def _rule_sub_signatures(rule: Rule) -> tuple[tuple, ...]:
-    """Every (head, body-pred-submultiset) signature of the rule; another
-    rule can only match into it if its full signature is one of these."""
-    return tuple(_sub_signatures_of(rule.head.pred_key, _pred_counts(rule.body)))
+_rule_sub_keys = lru_cache(maxsize=None)(_sub_keys)
 
 
 def _pointless_match(c: Constraint, r: Rule) -> Optional[tuple[Rule, Literal, Rule]]:
@@ -219,22 +226,22 @@ class _RuleHits:
 
 
 class ConstraintStore:
-    """Insert-only collection of constraints, indexed by predicate-multiset
-    signatures for fast matching; duplicate adds are no-ops."""
+    """Insert-only collection of constraints, indexed by head-anchored rule
+    keys (see _literal_key) for fast matching; duplicate adds are no-ops."""
 
     def __init__(self):
         self._keys: set[tuple] = set()
         self.count = dict.fromkeys(ConstraintKind, 0)  # stored constraints per kind
         self.banished: set[tuple] = set()
         # specialisation: stored rule -> matches into a candidate rule;
-        # bucketed by the stored rule's full signature
-        self.spec_by_sig: dict[tuple, list[tuple[int, Rule]]] = {}
+        # bucketed by the stored rule's key
+        self.spec_by_key: dict[tuple, list[tuple[int, Rule]]] = {}
         # generalisation: candidate rule -> matches into the stored rule;
-        # entries bucketed under every sub-signature of the stored rule so a
-        # candidate resolves with a single lookup of its own signature
+        # entries bucketed under every sub-key of the stored rule so a
+        # candidate resolves with a single lookup of its own key
         self.gen: list[tuple[Rule, ...]] = []
-        self.gen_by_sig: dict[tuple, list[tuple[int, int, Rule]]] = {}
-        self.pointless_by_sig: dict[tuple, list[Constraint]] = {}
+        self.gen_by_key: dict[tuple, list[tuple[int, int, Rule]]] = {}
+        self.pointless_by_key: dict[tuple, list[Constraint]] = {}
         self._hits: dict[Rule, _RuleHits] = {}
 
     def add(self, c: Constraint) -> bool:
@@ -249,19 +256,19 @@ class ConstraintStore:
             assert c.hypothesis is not None
             cid = self.count[ConstraintKind.SPECIALISATION]
             for r0 in hypothesis_sorted(c.hypothesis):
-                self.spec_by_sig.setdefault(_signature(r0), []).append((cid, r0))
+                self.spec_by_key.setdefault(_rule_key(r0), []).append((cid, r0))
         elif c.kind is ConstraintKind.GENERALISATION:
             assert c.hypothesis is not None
             rules = tuple(hypothesis_sorted(c.hypothesis))
             cid = len(self.gen)
             self.gen.append(rules)
             for idx, r0 in enumerate(rules):
-                for sig in _rule_sub_signatures(r0):
-                    self.gen_by_sig.setdefault(sig, []).append((cid, idx, r0))
+                for key in _rule_sub_keys(r0):
+                    self.gen_by_key.setdefault(key, []).append((cid, idx, r0))
         else:
             assert c.evidence is not None
-            sig = _signature(c.evidence.rule)
-            self.pointless_by_sig.setdefault(sig, []).append(c)
+            key = _rule_key(c.evidence.rule)
+            self.pointless_by_key.setdefault(key, []).append(c)
         self.count[c.kind] += 1
         return True
 
@@ -287,8 +294,8 @@ class ConstraintStore:
         hits = self._rule_hits(r)
         n_spec = self.count[ConstraintKind.SPECIALISATION]
         if hits.spec_seen != n_spec:
-            for sig in _rule_sub_signatures(r):
-                for cid, r0 in self.spec_by_sig.get(sig, ()):
+            for key in _rule_sub_keys(r):
+                for cid, r0 in self.spec_by_key.get(key, ()):
                     if cid not in hits.spec_ids and renamed_subrule(r0, r):
                         hits.spec_ids.add(cid)
             hits.spec_seen = n_spec
@@ -297,7 +304,7 @@ class ConstraintStore:
     def gen_hits(self, r: Rule) -> dict[int, set[int]]:
         hits = self._rule_hits(r)
         if hits.gen_seen != len(self.gen):
-            for cid, idx, r0 in self.gen_by_sig.get(_signature(r), ()):
+            for cid, idx, r0 in self.gen_by_key.get(_rule_key(r), ()):
                 if renamed_subrule(r, r0):
                     hits.gen_hits.setdefault(cid, set()).add(idx)
             hits.gen_seen = len(self.gen)
@@ -309,8 +316,8 @@ class ConstraintStore:
             return hits.pointless_match
         n_pointless = self.count[ConstraintKind.POINTLESS_SUPER_RULE]
         if hits.pointless_seen != n_pointless:
-            for sig in _rule_sub_signatures(r):
-                for c in self.pointless_by_sig.get(sig, ()):
+            for key in _rule_sub_keys(r):
+                for c in self.pointless_by_key.get(key, ()):
                     m = _pointless_match(c, r)
                     if m is not None:
                         hits.pointless_match = (c, *m)
@@ -394,18 +401,25 @@ def rule_groups(size: int, max_rules: int) -> Iterator[tuple[tuple[int, int], ..
 class HypothesisGenerator:
     """Streams canonical, bias-legal, constraint-satisfying hypotheses of a
     requested total size.  Constraints added between calls take effect for
-    all subsequent candidates."""
+    all subsequent candidates.  Past the deadline (a time.perf_counter
+    value) next_hypothesis raises DeadlineExceeded."""
 
-    def __init__(self, bias: Bias, store: ConstraintStore, audit: bool = False):
+    def __init__(self, bias: Bias, store: ConstraintStore, audit: bool = False,
+                 deadline: Optional[float] = None):
         self.bias = bias
         self.store = store
         self.audit = audit
+        self.deadline = deadline
         self.nodes_explored = 0
         self.emitted = 0
         self.considered = 0
         self.audit_records: list[AuditRecord] = []
         self._strata: dict[int, list[Rule]] = {}
         self._streams: dict[int, Iterator[Hypothesis]] = {}
+
+    def _check_deadline(self):
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            raise DeadlineExceeded
 
     # -- rule-level enumeration ------------------------------------------
 
@@ -436,11 +450,11 @@ class HypothesisGenerator:
         (recursion off) and when the reduced partial already carries the
         head variables and the image's variables, so that completions keep
         their reductions inside the search space."""
-        index = self.store.pointless_by_sig
+        index = self.store.pointless_by_key
         head_vars = head.vars()
         partial = Rule(head, frozenset(body))
-        for sig in _sub_signatures_of(head.pred_key, _pred_counts(body)):
-            for c in index.get(sig, ()):
+        for key in _sub_keys(partial):
+            for c in index.get(key, ()):
                 ev = c.evidence
                 assert ev is not None
                 for theta in iter_renamings(ev.rule, partial):
@@ -467,6 +481,7 @@ class HypothesisGenerator:
         out: dict[tuple, Rule] = {}
 
         def extend(body: list[Literal], used: int):
+            self._check_deadline()
             self.nodes_explored += 1
             if len(body) == body_size:
                 rule = Rule(head, frozenset(body))
@@ -492,6 +507,7 @@ class HypothesisGenerator:
         return [out[k] for k in sorted(out)]
 
     def rule_stratum(self, rule_size: int) -> list[Rule]:
+        # a stratum whose assembly ran past the deadline is never cached
         if rule_size not in self._strata:
             self._strata[rule_size] = self._assemble(rule_size)
         return self._strata[rule_size]
@@ -530,6 +546,7 @@ class HypothesisGenerator:
 
     def _stream(self, size: int) -> Iterator[Hypothesis]:
         for h in self._candidates(size):
+            self._check_deadline()
             self.considered += 1
             if self._passes(h):
                 self.emitted += 1
@@ -542,4 +559,8 @@ class HypothesisGenerator:
         if stream is None:
             stream = self._stream(size)
             self._streams[size] = stream
-        return next(stream, None)
+        try:
+            return next(stream, None)
+        except DeadlineExceeded:
+            del self._streams[size]  # a generator that raised is finished
+            raise

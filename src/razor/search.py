@@ -18,6 +18,7 @@ from .generate import (
     Constraint,
     ConstraintKind,
     ConstraintStore,
+    DeadlineExceeded,
     HypothesisGenerator,
 )
 from .logic import (
@@ -59,6 +60,7 @@ class Stats:
     nodes_explored: int = 0
     constraints: dict = field(default_factory=dict)
     evidence: dict = field(default_factory=lambda: {"reducible": 0, "indiscriminate": 0})
+    detect_subsumed: int = 0  # detections skipped: a specialisation constraint covers them
     time_total: float = 0.0
     time_detection: float = 0.0
     time_testing: float = 0.0
@@ -169,7 +171,7 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
     stats = Stats(seed=config.seed)
 
     store = ConstraintStore()
-    gen = HypothesisGenerator(bias, store, audit=config.audit)
+    gen = HypothesisGenerator(bias, store, audit=config.audit, deadline=deadline)
     tester = CoverageTester(task.bk, task.pos, task.neg)
     neg = list(task.neg)
     domain = list(task.constant_domain)
@@ -193,10 +195,11 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
 
     for size in range(2, max_size + 1):
         while True:
-            if deadline is not None and time.perf_counter() > deadline:
+            try:
+                h = gen.next_hypothesis(size)
+            except DeadlineExceeded:
                 termination = TIMEOUT
                 return finish()
-            h = gen.next_hypothesis(size)
             if h is None:
                 break
 
@@ -218,19 +221,26 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
             for c in build_cons(h, h_score, fn, fp, config.noisy):
                 store.add(c)
 
-            if config.pointless is not DetectMode.OFF:
-                t0 = time.perf_counter()
-                found = find_pointless(
-                    tester.model, h, neg, domain,
-                    mode=config.pointless,
-                    exhaustive=config.exhaustive_evidence,
-                )
-                stats.time_detection += time.perf_counter() - t0
-                for ev in found:
-                    evidence_log.append(ev)
-                    stats.evidence[ev.kind.value] += 1
-                    store.add(Constraint(
-                        ConstraintKind.POINTLESS_SUPER_RULE, evidence=ev))
+            if config.pointless is DetectMode.OFF:
+                continue
+            if not config.noisy and bias.max_rules == 1 and fn > 0:
+                # h's specialisation constraint already bans every
+                # hypothesis whose one rule contains a renaming of h's rule,
+                # which is all a pointless constraint from h could ban
+                stats.detect_subsumed += 1
+                continue
+            t0 = time.perf_counter()
+            found = find_pointless(
+                tester.model, h, neg, domain,
+                mode=config.pointless,
+                exhaustive=config.exhaustive_evidence,
+            )
+            stats.time_detection += time.perf_counter() - t0
+            for ev in found:
+                evidence_log.append(ev)
+                stats.evidence[ev.kind.value] += 1
+                store.add(Constraint(
+                    ConstraintKind.POINTLESS_SUPER_RULE, evidence=ev))
 
     termination = EXHAUSTED
     return finish()

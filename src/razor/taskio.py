@@ -311,16 +311,21 @@ def parse_bias(text: str, path: str = BIAS_FILE) -> Bias:
     if not body_preds:
         raise TaskError("missing body_pred declarations", path, 1, 1)
 
-    # resolve constant declarations against the declared predicates
+    # resolve constant declarations, which name a predicate without its
+    # arity, against the declared predicates
     resolved: dict[tuple[PredKey, int], tuple[Const, ...]] = {}
-    declared = {p[0]: p for p in body_preds}
-    if recursion:
-        declared.setdefault(head[0], head)
+    declared: dict[str, list[PredKey]] = {}
+    for p in dict.fromkeys([*body_preds, *([head] if recursion else [])]):
+        declared.setdefault(p[0], []).append(p)
     for pl in constant_decls:
         name, pos = pl.args[0].name, int(pl.args[1].name)
-        decl = declared.get(name)
-        if decl is None:
+        decls = declared.get(name)
+        if decls is None:
             _err(f"constant declaration for undeclared predicate {name!r}", pl)
+        if len(decls) > 1:
+            _err(f"constant declaration for {name!r} is ambiguous: it is declared as "
+                 + " and ".join(f"{n}/{a}" for n, a in decls), pl)
+        decl = decls[0]
         if not (1 <= pos <= decl[1]):
             _err(f"constant position {pos} out of range for {name}/{decl[1]}", pl)
         key = (decl, pos - 1)

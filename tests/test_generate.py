@@ -16,9 +16,19 @@ from razor import (
     least_model,
     violates,
 )
-from razor.logic import canonicalize, canonicalize_hypothesis
+from razor.generate import DeadlineExceeded
+from razor.logic import (
+    Rule,
+    canonicalize,
+    canonicalize_hypothesis,
+    hypothesis_key,
+    hypothesis_size,
+    rename_literal,
+)
 from razor.microtask import random_task
 from razor.oracle import enumerate_all
+from razor.pointless import PointlessEvidence, PointlessKind, reduce_rule
+from razor.search import CoverageTester
 
 
 def _evidence(task, text):
@@ -166,6 +176,92 @@ def test_store_mirrors_violates_semantics(intro_task):
         assert got == expected, f"{h} expected {expected}"
 
 
+def _all_candidates(mt):
+    return sorted(
+        (h for size in range(2, mt.search_size + 1) for h in enumerate_all(mt.task.bias, size)),
+        key=hypothesis_key,
+    )
+
+
+def _renamed(rule, rng):
+    """The rule under a random injective renaming to non-canonical names."""
+    names = sorted(rule.vars())
+    theta = dict(zip(names, rng.sample(["X", "Y", "Z", "W", "Tmp", "V9"], len(names))))
+    return Rule(rename_literal(rule.head, theta),
+                frozenset(rename_literal(lit, theta) for lit in rule.body))
+
+
+def _random_constraint(candidates, rng):
+    kind = rng.choice([ConstraintKind.SPECIALISATION, ConstraintKind.GENERALISATION,
+                       ConstraintKind.POINTLESS_SUPER_RULE])
+    # specialisations and super-rules of small hypotheses are plentiful
+    if kind is not ConstraintKind.GENERALISATION:
+        candidates = [h for h in candidates if hypothesis_size(h) <= 3]
+    rules = [_renamed(r, rng) for r in rng.choice(candidates)]
+    if kind is not ConstraintKind.POINTLESS_SUPER_RULE:
+        return Constraint(kind, hypothesis=frozenset(rules))
+    rule = rng.choice(rules)
+    lit = rng.choice(sorted(rule.body, key=repr))
+    ev = PointlessEvidence(rule, lit, PointlessKind.REDUCIBLE, reduce_rule(rule, lit))
+    return Constraint(kind, evidence=ev)
+
+
+# micro-tasks whose bias allows constants: single- and two-rule, head
+# arity 1 and 2
+@pytest.mark.parametrize("seed", [2, 3, 5, 8, 12, 21])
+def test_store_index_agrees_with_violates_on_micro_strata(seed):
+    mt = random_task(seed)
+    assert mt.task.bias.constants
+    candidates = _all_candidates(mt)
+    rng = random.Random(seed)
+    store = ConstraintStore()
+    cons = []
+    # constraints arrive in batches, so the per-rule caches are refreshed
+    for _ in range(3):
+        for _ in range(6):
+            c = _random_constraint(candidates, rng)
+            cons.append(c)
+            store.add(c)
+        allowed = set()
+        for h in candidates:
+            expected = any(violates(h, c) for c in cons)
+            got = store.violated_non_pointless(h) or \
+                store.first_pointless_violation(h) is not None
+            assert got == expected, (h, expected)
+            if not expected:
+                allowed.add(h)
+    gen = HypothesisGenerator(mt.task.bias, store)
+    emitted = {h for size in range(2, mt.search_size + 1) for h in _drain(gen, size)}
+    assert emitted == allowed
+
+
+@pytest.mark.parametrize("seed", [1, 2, 8, 12])
+def test_pointless_constraints_from_a_missed_positive_are_subsumed(seed):
+    # with one rule per hypothesis, a hypothesis that misses a positive
+    # gets a specialisation constraint that bans everything its pointless
+    # constraints would ban
+    mt = random_task(seed)
+    task = mt.task
+    assert task.bias.max_rules == 1
+    candidates = _all_candidates(mt)
+    tester = CoverageTester(task.bk, task.pos, task.neg)
+    rng = random.Random(seed)
+    banned = 0
+    for h0 in rng.sample(candidates, 40):
+        pm, _ = tester.masks(h0)
+        if pm.bit_count() == len(task.pos):
+            continue
+        spec = Constraint(ConstraintKind.SPECIALISATION, hypothesis=h0)
+        for ev in find_pointless(tester.model, h0, task.neg, list(task.constant_domain),
+                                 exhaustive=True):
+            c = Constraint(ConstraintKind.POINTLESS_SUPER_RULE, evidence=ev)
+            for h in candidates:
+                if violates(h, c):
+                    banned += 1
+                    assert violates(h, spec), (h0, ev, h)
+    assert banned > 0
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -270,6 +366,15 @@ def test_stratum_matches_oracle_enumeration():
         for size in range(2, min(task.bias.max_size, 5) + 1):
             got = set(_drain(gen, size))
             assert got == enumerate_all(task.bias, size)
+
+
+def test_deadline_never_leaves_a_partial_stratum(intro_task):
+    fresh = HypothesisGenerator(intro_task.bias, ConstraintStore())
+    gen = HypothesisGenerator(intro_task.bias, ConstraintStore(), deadline=0.0)
+    with pytest.raises(DeadlineExceeded):
+        gen.next_hypothesis(3)
+    gen.deadline = None
+    assert _drain(gen, 3) == _drain(fresh, 3)
 
 
 def test_size_below_two_rejected(intro_task):

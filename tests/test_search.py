@@ -1,3 +1,7 @@
+import time
+
+import pytest
+
 from helpers import parse_hypothesis
 
 from razor import (
@@ -5,6 +9,7 @@ from razor import (
     DetectMode,
     LearnConfig,
     learn,
+    parse_task,
     render_hypothesis,
     score,
     verify_audit,
@@ -100,6 +105,16 @@ def test_learn_timeout_returns_best_seen(intro_task):
     assert result.best is None and result.best_score is None
 
 
+def test_learn_timeout_is_honoured_during_stratum_assembly(puzzle_task):
+    # assembling eight_puzzle_mini's larger strata takes far longer than the
+    # timeout, so the deadline must be checked inside the assembly
+    t0 = time.perf_counter()
+    result = learn(puzzle_task, LearnConfig(timeout=0.05))
+    elapsed = time.perf_counter() - t0
+    assert result.termination == TIMEOUT
+    assert elapsed < 0.05 + 0.2
+
+
 def test_learn_empty_hypothesis_is_the_baseline():
     # nothing in the space covers the positive example
     task = parse_task_strings(
@@ -131,6 +146,49 @@ def test_learn_is_deterministic(intro_task):
     assert r1.stats.generated == r2.stats.generated
     assert r1.stats.tested == r2.stats.tested
     assert [repr(e) for e in r1.evidence] == [repr(e) for e in r2.evidence]
+
+
+# per fixture under the default config: generated, tested, nodes explored,
+# the returned hypothesis and the stored specialisation, generalisation and
+# banish constraints.  A speed-up that loses pruning moves one of them.
+FIXTURE_COUNTERS = {
+    "intro": (261, 261, 6204, "f(A) :- gt(A,3), lt(A,8), odd(A).", 21, 242, 260),
+    "transitive_gt": (242, 242, 3796, "f(A) :- gt(A,B), gt(B,C), gt(C,D).", 25, 219, 241),
+    "eight_puzzle_mini": (693, 693, 23123,
+                          "legal_move(A,B,C,D) :- adjacent(C,D), role(B), state(A).",
+                          692, 0, 692),
+    "trains_mini": (23, 23, 2383, "eastbound(A) :- closed(B), has_car(A,B), short(B).",
+                    13, 11, 22),
+}
+
+
+@pytest.fixture(scope="module")
+def fixture_runs(fixtures_dir):
+    return {name: learn(parse_task(fixtures_dir / name)) for name in FIXTURE_COUNTERS}
+
+
+@pytest.mark.parametrize("name", list(FIXTURE_COUNTERS))
+def test_fixture_counters_are_pinned(fixture_runs, name):
+    result = fixture_runs[name]
+    s = result.stats
+    got = (s.generated, s.tested, s.nodes_explored, render_hypothesis(result.best),
+           s.constraints["specialisation"], s.constraints["generalisation"],
+           s.constraints["banish"])
+    assert got == FIXTURE_COUNTERS[name]
+
+
+def test_detection_is_skipped_when_a_specialisation_constraint_covers_it(
+        fixture_runs, trains_task):
+    # eight_puzzle_mini has one rule per hypothesis and every tested
+    # hypothesis but the last misses a positive
+    s = fixture_runs["eight_puzzle_mini"].stats
+    assert s.detect_subsumed == 692
+    assert s.evidence == {"reducible": 0, "indiscriminate": 0}
+    assert s.constraints["pointless-super-rule"] == 0
+    # noisy mode stores no specialisation constraints, so detection runs
+    noisy = learn(trains_task, LearnConfig(noisy=True)).stats
+    assert noisy.detect_subsumed == 0
+    assert sum(noisy.evidence.values()) == noisy.constraints["pointless-super-rule"] > 0
 
 
 def test_learn_noisy_mode_matches_oracle_on_shuffled_labels():

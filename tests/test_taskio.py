@@ -52,6 +52,19 @@ def test_bias_constant_positions_are_validated():
         parse_bias("head_pred(f,1).\nmax_body(0).\nbody_pred(odd,1).\n")
 
 
+def test_bias_constant_for_a_name_with_two_arities_is_ambiguous():
+    # constant/3 names a predicate without its arity
+    with pytest.raises(TaskError, match=r"^bias\.pl:4:1: constant declaration for 'p' is "
+                                        r"ambiguous: it is declared as p/1 and p/2"):
+        parse_bias("head_pred(f,1).\nbody_pred(p,1).\nbody_pred(p,2).\nconstant(p,1,[5]).\n")
+    # the head counts once recursion makes it a body predicate
+    with pytest.raises(TaskError, match=r"^bias\.pl:4:1: .* declared as p/1 and p/2"):
+        parse_bias("head_pred(p,2).\nbody_pred(p,1).\nenable_recursion.\nconstant(p,1,[5]).\n")
+    bias = parse_bias("head_pred(p,2).\nbody_pred(p,1).\nconstant(p,1,[5]).\n")
+    assert {key: [c.name for c in vals] for key, vals in bias.constants.items()} == \
+        {(("p", 1), 0): ["5"]}
+
+
 def test_bias_requires_declarations():
     with pytest.raises(TaskError, match="head_pred"):
         parse_bias("body_pred(odd,1).")
