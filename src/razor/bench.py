@@ -15,7 +15,7 @@ from .pointless import DetectMode
 from .search import CoverageTester, LearnConfig, LearnResult, learn
 from .taskio import Task, parse_task, render_hypothesis
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CONFIG_ORDER = [
     DetectMode.OFF,
@@ -30,9 +30,8 @@ CSV_COLUMNS = [
     "balanced_accuracy", "accuracy_on", "time_total", "time_detection",
     "time_testing", "overhead_fraction", "generated", "tested",
     "nodes_explored", "constraints_specialisation",
-    "constraints_generalisation", "constraints_banish",
-    "constraints_pointless", "evidence_reducible", "evidence_indiscriminate",
-    "hypothesis", "error",
+    "constraints_generalisation", "constraints_pointless",
+    "evidence_reducible", "evidence_indiscriminate", "hypothesis", "error",
 ]
 
 
@@ -123,7 +122,6 @@ class BenchRecord:
         d.update({f"{k}": v for k, v in cfg.items()})
         d["constraints_specialisation"] = cons.get("specialisation", 0)
         d["constraints_generalisation"] = cons.get("generalisation", 0)
-        d["constraints_banish"] = cons.get("banish", 0)
         d["constraints_pointless"] = cons.get("pointless-super-rule", 0)
         d["evidence_reducible"] = ev.get("reducible", 0)
         d["evidence_indiscriminate"] = ev.get("indiscriminate", 0)

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import run_suite, write_csv, write_json
+from .bench import SCHEMA_VERSION, run_suite, write_csv, write_json
 from .oracle import DEFAULT_CEILING, OracleCeilingError, oracle_optimal
 from .pointless import DetectMode, find_pointless
 from .search import CoverageTester, LearnConfig, TIMEOUT, learn, verify_audit
@@ -95,7 +95,7 @@ def _cmd_learn(args) -> int:
 
     if args.stats is not None:
         record = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "task": task.name,
             "config": {
                 "max_size": config.max_size,

@@ -112,18 +112,8 @@ class FactStore:
             for args in sorted(self._facts[key]):
                 yield Literal(key[0], tuple(Const(a) for a in args))
 
-    def constants(self) -> set[str]:
-        out: set[str] = set()
-        for bucket in self._facts.values():
-            for args in bucket:
-                out.update(args)
-        return out
-
     def __len__(self) -> int:
         return sum(len(b) for b in self._facts.values())
-
-    def count(self, key: PredKey) -> int:
-        return len(self._facts.get(key, ()))
 
 
 def _pattern(lit: Literal, theta: Substitution) -> list[Optional[str]]:

@@ -95,7 +95,6 @@ class ConstraintKind(enum.Enum):
     SPECIALISATION = "specialisation"
     GENERALISATION = "generalisation"
     POINTLESS_SUPER_RULE = "pointless-super-rule"
-    BANISH = "banish"
 
 
 @dataclass(frozen=True)
@@ -190,10 +189,7 @@ def violates(h: Hypothesis, c: Constraint) -> bool:
     - PointlessSuperRule(evidence): some basic rule of h contains a renamed
       image of the pointless rule and stays in the search space once the
       redundant literal is dropped.
-    - Banish(h0): h equals h0.
     """
-    if c.kind is ConstraintKind.BANISH:
-        return h == c.hypothesis
     if c.kind is ConstraintKind.SPECIALISATION:
         assert c.hypothesis is not None
         return all(
@@ -232,7 +228,6 @@ class ConstraintStore:
     def __init__(self):
         self._keys: set[tuple] = set()
         self.count = dict.fromkeys(ConstraintKind, 0)  # stored constraints per kind
-        self.banished: set[tuple] = set()
         # specialisation: stored rule -> matches into a candidate rule;
         # bucketed by the stored rule's key
         self.spec_by_key: dict[tuple, list[tuple[int, Rule]]] = {}
@@ -241,7 +236,7 @@ class ConstraintStore:
         # candidate resolves with a single lookup of its own key
         self.gen: list[tuple[Rule, ...]] = []
         self.gen_by_key: dict[tuple, list[tuple[int, int, Rule]]] = {}
-        self.pointless_by_key: dict[tuple, list[Constraint]] = {}
+        self.pointless_by_key: dict[tuple, list[tuple[int, Constraint]]] = {}
         self._hits: dict[Rule, _RuleHits] = {}
 
     def add(self, c: Constraint) -> bool:
@@ -249,10 +244,7 @@ class ConstraintStore:
         if key in self._keys:
             return False
         self._keys.add(key)
-        if c.kind is ConstraintKind.BANISH:
-            assert c.hypothesis is not None
-            self.banished.add(hypothesis_key(c.hypothesis))
-        elif c.kind is ConstraintKind.SPECIALISATION:
+        if c.kind is ConstraintKind.SPECIALISATION:
             assert c.hypothesis is not None
             cid = self.count[ConstraintKind.SPECIALISATION]
             for r0 in hypothesis_sorted(c.hypothesis):
@@ -267,8 +259,8 @@ class ConstraintStore:
                     self.gen_by_key.setdefault(key, []).append((cid, idx, r0))
         else:
             assert c.evidence is not None
-            key = _rule_key(c.evidence.rule)
-            self.pointless_by_key.setdefault(key, []).append(c)
+            pid = self.count[ConstraintKind.POINTLESS_SUPER_RULE]
+            self.pointless_by_key.setdefault(_rule_key(c.evidence.rule), []).append((pid, c))
         self.count[c.kind] += 1
         return True
 
@@ -278,10 +270,9 @@ class ConstraintStore:
     def counts(self) -> dict[str, int]:
         return {kind.value: n for kind, n in self.count.items()}
 
-    def is_banished(self, h: Hypothesis) -> bool:
-        return hypothesis_key(h) in self.banished
-
     # -- per-rule caches --------------------------------------------------
+    # Bucket entries carry the insertion id of their constraint, so a
+    # refresh tests only the constraints added since the rule's last scan.
 
     def _rule_hits(self, r: Rule) -> _RuleHits:
         hits = self._hits.get(r)
@@ -296,7 +287,9 @@ class ConstraintStore:
         if hits.spec_seen != n_spec:
             for key in _rule_sub_keys(r):
                 for cid, r0 in self.spec_by_key.get(key, ()):
-                    if cid not in hits.spec_ids and renamed_subrule(r0, r):
+                    # a multi-rule constraint files several rules under one cid
+                    if (cid >= hits.spec_seen and cid not in hits.spec_ids
+                            and renamed_subrule(r0, r)):
                         hits.spec_ids.add(cid)
             hits.spec_seen = n_spec
         return hits.spec_ids
@@ -305,7 +298,7 @@ class ConstraintStore:
         hits = self._rule_hits(r)
         if hits.gen_seen != len(self.gen):
             for cid, idx, r0 in self.gen_by_key.get(_rule_key(r), ()):
-                if renamed_subrule(r, r0):
+                if cid >= hits.gen_seen and renamed_subrule(r, r0):
                     hits.gen_hits.setdefault(cid, set()).add(idx)
             hits.gen_seen = len(self.gen)
         return hits.gen_hits
@@ -317,7 +310,9 @@ class ConstraintStore:
         n_pointless = self.count[ConstraintKind.POINTLESS_SUPER_RULE]
         if hits.pointless_seen != n_pointless:
             for key in _rule_sub_keys(r):
-                for c in self.pointless_by_key.get(key, ()):
+                for pid, c in self.pointless_by_key.get(key, ()):
+                    if pid < hits.pointless_seen:
+                        continue
                     m = _pointless_match(c, r)
                     if m is not None:
                         hits.pointless_match = (c, *m)
@@ -329,8 +324,6 @@ class ConstraintStore:
     # -- hypothesis-level checks ------------------------------------------
 
     def violated_non_pointless(self, h: Hypothesis) -> bool:
-        if self.is_banished(h):
-            return True
         rules = list(h)
         if self.count[ConstraintKind.SPECIALISATION]:
             common: Optional[set[int]] = None
@@ -401,8 +394,12 @@ def rule_groups(size: int, max_rules: int) -> Iterator[tuple[tuple[int, int], ..
 class HypothesisGenerator:
     """Streams canonical, bias-legal, constraint-satisfying hypotheses of a
     requested total size.  Constraints added between calls take effect for
-    all subsequent candidates.  Past the deadline (a time.perf_counter
-    value) next_hypothesis raises DeadlineExceeded."""
+    all subsequent candidates.  Each canonical hypothesis is offered at
+    most once per run: strata are deduplicated by canonical key, a
+    hypothesis's rule sizes pick one rule group and one selection from it,
+    and each size has one stream.  Past the deadline (a time.perf_counter
+    value) next_hypothesis raises DeadlineExceeded, and a later call for
+    that size starts the size over."""
 
     def __init__(self, bias: Bias, store: ConstraintStore, audit: bool = False,
                  deadline: Optional[float] = None):
@@ -454,7 +451,7 @@ class HypothesisGenerator:
         head_vars = head.vars()
         partial = Rule(head, frozenset(body))
         for key in _sub_keys(partial):
-            for c in index.get(key, ()):
+            for _, c in index.get(key, ()):
                 ev = c.evidence
                 assert ev is not None
                 for theta in iter_renamings(ev.rule, partial):

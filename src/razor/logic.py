@@ -80,9 +80,6 @@ class Rule:
             vs |= lit.vars()
         return frozenset(vs)
 
-    def is_recursive(self) -> bool:
-        return any(lit.pred_key == self.head.pred_key for lit in self.body)
-
     def body_sorted(self) -> list[Literal]:
         return sorted(self.body, key=concrete_key)
 
@@ -93,10 +90,6 @@ class Rule:
 
 
 Hypothesis = frozenset[Rule]
-
-
-def mk_rule(head: Literal, body: Iterable[Literal]) -> Rule:
-    return Rule(head, frozenset(body))
 
 
 def hypothesis_size(h: Hypothesis) -> int:

@@ -144,13 +144,13 @@ class CoverageTester:
         return CostScore(fn + fp, hypothesis_size(h))
 
 
-def build_cons(h: Hypothesis, score: CostScore, fn: int, fp: int,
-               noisy: bool = False) -> list[Constraint]:
-    """Failure-driven constraints for a tested hypothesis.  The hypothesis
-    itself is always banished; missing a positive dooms its specialisations
-    and covering a negative dooms its generalisations, which is sound only
-    when a zero-error hypothesis exists (noiseless mode)."""
-    cons = [Constraint(ConstraintKind.BANISH, hypothesis=h)]
+def build_cons(h: Hypothesis, fn: int, fp: int, noisy: bool = False) -> list[Constraint]:
+    """Failure-driven constraints for a tested hypothesis: missing a
+    positive dooms its specialisations and covering a negative dooms its
+    generalisations, which is sound only when a zero-error hypothesis
+    exists (noiseless mode).  The hypothesis itself needs no constraint:
+    the generator never offers it again."""
+    cons = []
     if not noisy:
         if fn > 0:
             cons.append(Constraint(ConstraintKind.SPECIALISATION, hypothesis=h))
@@ -218,7 +218,7 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
                 termination = PERFECT
                 return finish()
 
-            for c in build_cons(h, h_score, fn, fp, config.noisy):
+            for c in build_cons(h, fn, fp, config.noisy):
                 store.add(c)
 
             if config.pointless is DetectMode.OFF:

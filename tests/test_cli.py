@@ -29,7 +29,8 @@ def test_learn_writes_versioned_stats(capsys, fixtures_dir, tmp_path):
                          "--stats", str(stats), "--seed", "7", capsys=capsys)
     assert code == 0
     record = json.loads(stats.read_text())
-    assert record["schema_version"] == 1
+    assert record["schema_version"] == 2
+    assert "banish" not in record["stats"]["constraints"]
     assert record["best_errors"] == 0
     assert record["stats"]["seed"] == 7
     for field in ("generated", "tested", "time_total", "time_detection",

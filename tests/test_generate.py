@@ -14,8 +14,10 @@ from razor import (
     HypothesisGenerator,
     find_pointless,
     least_model,
+    parse_task,
     violates,
 )
+from razor import generate
 from razor.generate import DeadlineExceeded
 from razor.logic import (
     Rule,
@@ -115,14 +117,6 @@ def test_violates_generalisation():
     assert not violates(_canon("f(A) :- odd(A), int(A), gt(A,3)."), c)
 
 
-def test_violates_banish():
-    h = _canon("f(A) :- odd(A).")
-    c = Constraint(ConstraintKind.BANISH, hypothesis=h)
-    assert violates(h, c)
-    assert violates(_canon("f(X) :- odd(X)."), c)  # canonical equality
-    assert not violates(_canon("f(A) :- even(A)."), c)
-
-
 # ---------------------------------------------------------------------------
 # constraint store
 # ---------------------------------------------------------------------------
@@ -139,12 +133,11 @@ def test_add_constraint_idempotent(intro_task):
     one_of_each = [
         Constraint(ConstraintKind.SPECIALISATION, hypothesis=h),
         Constraint(ConstraintKind.GENERALISATION, hypothesis=h),
-        Constraint(ConstraintKind.BANISH, hypothesis=h),
         c,
     ]
     for con in one_of_each + one_of_each:
         store.add(con)
-    assert len(store) == 4
+    assert len(store) == 3
     assert store.counts() == {kind.value: 1 for kind in ConstraintKind}
 
 
@@ -154,7 +147,6 @@ def test_store_mirrors_violates_semantics(intro_task):
     cons = [
         Constraint(ConstraintKind.SPECIALISATION, hypothesis=_canon("f(A) :- even(A).")),
         Constraint(ConstraintKind.GENERALISATION, hypothesis=_canon("f(A) :- odd(A), int(A).")),
-        Constraint(ConstraintKind.BANISH, hypothesis=_canon("f(A) :- odd(A).")),
         _pointless_con(intro_task, "f(A) :- odd(A), int(A)."),
         _pointless_con(intro_task, "f(A) :- lt(A,10)."),
     ]
@@ -174,6 +166,30 @@ def test_store_mirrors_violates_semantics(intro_task):
         got = store.violated_non_pointless(h) or \
             store.first_pointless_violation(h) is not None
         assert got == expected, f"{h} expected {expected}"
+
+
+def test_refresh_tests_only_new_pointless_constraints(monkeypatch):
+    calls = []
+    real = generate._pointless_match
+    monkeypatch.setattr(generate, "_pointless_match",
+                        lambda c, r: calls.append(c) or real(c, r))
+    rule = next(iter(_canon("f(A) :- lt(A,B), gt(B,3).")))
+
+    def con(text):
+        lit = next(l for l in rule.body if repr(l) == text)
+        ev = PointlessEvidence(rule, lit, PointlessKind.REDUCIBLE, reduce_rule(rule, lit))
+        return Constraint(ConstraintKind.POINTLESS_SUPER_RULE, evidence=ev)
+
+    # dropping lt(A,B) leaves an unsafe rule, so the first never matches
+    first, second = con("lt(A,B)"), con("gt(B,3)")
+    store = ConstraintStore()
+    store.add(first)
+    assert store.pointless_match(rule) is None
+    assert store.pointless_match(rule) is None
+    assert calls == [first]
+    store.add(second)
+    assert store.pointless_match(rule)[0] is second
+    assert calls == [first, second]
 
 
 def _all_candidates(mt):
@@ -300,14 +316,6 @@ def test_pointless_constraint_blocks_future_candidates(intro_task):
                 assert not {"odd(A)", "int(A)"} <= body, repr(rule)
 
 
-def test_banish_prevents_emission(intro_task):
-    store = ConstraintStore()
-    banned = _canon("f(A) :- odd(A).")
-    store.add(Constraint(ConstraintKind.BANISH, hypothesis=banned))
-    gen = HypothesisGenerator(intro_task.bias, store)
-    assert banned not in set(_drain(gen, 2))
-
-
 def test_fail_fast_reduces_explored_nodes(intro_task):
     plain = HypothesisGenerator(intro_task.bias, ConstraintStore())
     _drain(plain, 4)
@@ -350,13 +358,26 @@ def test_monotone_pruning(intro_task):
         assert set(_drain(gen1, s)) <= baseline[s]
 
 
-def test_no_duplicate_emissions_across_sizes(intro_task):
-    gen = HypothesisGenerator(intro_task.bias, ConstraintStore())
-    seen = set()
-    for size in (2, 3, 4):
-        for h in _drain(gen, size):
-            assert h not in seen
-            seen.add(h)
+def _drained_tasks(fixtures_dir):
+    for name in ("intro", "transitive_gt", "eight_puzzle_mini", "trains_mini"):
+        task = parse_task(fixtures_dir / name)
+        yield name, task, task.bias.max_size
+    for seed in range(1, 13):
+        mt = random_task(seed)
+        yield f"micro-{seed}", mt.task, mt.search_size
+    for seed in range(1, 5):
+        mt = random_task(seed, recursion=True)
+        yield f"recursive-{seed}", mt.task, mt.search_size
+
+
+def test_no_duplicate_emissions_across_sizes(fixtures_dir):
+    # learn stores no constraint against a tested hypothesis: it relies on
+    # the generator offering each one at most once per run
+    for name, task, max_size in _drained_tasks(fixtures_dir):
+        gen = HypothesisGenerator(task.bias, ConstraintStore())
+        emitted = [h for size in range(2, max_size + 1) for h in _drain(gen, size)]
+        assert emitted, name
+        assert len(emitted) == len(set(emitted)), name
 
 
 def test_stratum_matches_oracle_enumeration():
