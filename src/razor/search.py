@@ -84,8 +84,8 @@ class CoverageTester:
     """Coverage testing against a task with per-rule memoization.
 
     Non-recursive hypotheses are tested by OR-ing cached per-rule coverage
-    bitmasks over the background model; recursive ones fall back to a full
-    least-model computation.
+    bitmasks over the background model; recursive ones extend the cached
+    background model with the fixpoint of the hypothesis's rules.
     """
 
     def __init__(self, bk: Sequence[Rule], pos: Sequence[Literal], neg: Sequence[Literal]):
@@ -128,7 +128,7 @@ class CoverageTester:
 
     def masks(self, h: Hypothesis) -> tuple[int, int]:
         if self._is_recursive(h):
-            model = least_model([*self.bk, *h])
+            model = least_model(h, base=self.model)
             return (self._mask(self.pos, model), self._mask(self.neg, model))
         pm, nm = self.base_pos, self.base_neg
         for rule in h:
@@ -144,17 +144,21 @@ class CoverageTester:
         return CostScore(fn + fp, hypothesis_size(h))
 
 
-def build_cons(h: Hypothesis, fn: int, fp: int, noisy: bool = False) -> list[Constraint]:
+def build_cons(h: Hypothesis, fn: int, fp: int, noisy: bool = False,
+               max_rules: Optional[int] = None) -> list[Constraint]:
     """Failure-driven constraints for a tested hypothesis: missing a
     positive dooms its specialisations and covering a negative dooms its
     generalisations, which is sound only when a zero-error hypothesis
     exists (noiseless mode).  The hypothesis itself needs no constraint:
-    the generator never offers it again."""
+    the generator never offers it again.  Under a one-rule bias
+    (max_rules == 1) there is no generalisation constraint either: a
+    generalisation of a one-rule hypothesis is a renamed subrule of it,
+    so it is smaller, and already offered, or a renaming of it."""
     cons = []
     if not noisy:
         if fn > 0:
             cons.append(Constraint(ConstraintKind.SPECIALISATION, hypothesis=h))
-        if fp > 0:
+        if fp > 0 and max_rules != 1:
             cons.append(Constraint(ConstraintKind.GENERALISATION, hypothesis=h))
     return cons
 
@@ -218,7 +222,7 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
                 termination = PERFECT
                 return finish()
 
-            for c in build_cons(h, fn, fp, config.noisy):
+            for c in build_cons(h, fn, fp, config.noisy, bias.max_rules):
                 store.add(c)
 
             if config.pointless is DetectMode.OFF:

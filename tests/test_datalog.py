@@ -1,6 +1,9 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import ground, lit, parse_hypothesis, parse_rule
 
@@ -15,7 +18,10 @@ from razor import (
     satisfying_substitutions,
     subrule,
 )
-from razor.microtask import random_program
+from razor.datalog import FactStore, head_binding, implies_by_refutation
+from razor.logic import Literal, Rule, Var, captured, concrete_key, is_safe
+from razor.microtask import random_program, random_task
+from razor.oracle import _rule_stratum, enumerate_all
 from razor.taskio import parse_rules
 
 
@@ -334,3 +340,165 @@ def test_implies_matches_exhaustive_grounding():
         assert got == expected, (seed, body, target)
         agree += 1
     assert agree == 120
+
+
+# ---------------------------------------------------------------------------
+# implies against the refutation-first reference
+# ---------------------------------------------------------------------------
+
+def _captured_pairs(task):
+    for rule_size in range(2, 2 + task.bias.max_body):
+        for rule in _rule_stratum(task.bias, rule_size, ceiling=200_000):
+            for literal in sorted(rule.body, key=concrete_key):
+                if captured(rule, literal):
+                    yield rule, literal
+
+
+@pytest.mark.parametrize("seed,recursion",
+                         [(s, False) for s in range(1, 13)] + [(s, True) for s in range(1, 5)])
+def test_implies_agrees_with_reference_on_micro_strata(seed, recursion):
+    # every (rule, captured literal) pair: the reducible query without a
+    # seed, and the indiscriminate query under each negative's head binding
+    task = random_task(seed, recursion=recursion).task
+    model = least_model(task.bk)
+    domain = list(task.constant_domain)
+    pairs = 0
+    for rule, literal in _captured_pairs(task):
+        pairs += 1
+        body = rule.body - {literal}
+        assert implies(model, body, literal, domain) == \
+            implies_by_refutation(model, body, literal, domain), (rule, literal)
+        for e in task.neg:
+            theta = head_binding(rule, e)
+            if theta is None:
+                continue
+            assert implies(model, body, literal, domain, theta) == \
+                implies_by_refutation(model, body, literal, domain, theta), (rule, literal, e)
+    assert pairs > 0
+
+
+@st.composite
+def _implication_queries(draw):
+    """A random store over a small domain, a body over A-C (possibly
+    unsatisfiable, possibly empty) and a literal over A-D, so that D never
+    occurs in the body, with an optional seed.  The ternary predicate makes
+    joins with two bound positions and a free one."""
+    domain = [str(i) for i in range(1, draw(st.integers(1, 4)) + 1)]
+    preds = [("p", 1), ("q", 2), ("r", 2), ("s", 3)]
+    store = FactStore()
+    for name, arity in preds:
+        for combo in product(domain, repeat=arity):
+            if draw(st.booleans()):
+                store.add(Literal(name, tuple(Const(c) for c in combo)))
+    consts = [Const(c) for c in domain]
+
+    def literal(names):
+        name, arity = draw(st.sampled_from(preds))
+        terms = st.sampled_from([Var(v) for v in names] + consts)
+        return Literal(name, tuple(draw(terms) for _ in range(arity)))
+
+    body = [literal("ABC") for _ in range(draw(st.integers(0, 3)))]
+    target = literal("ABCD")
+    seed = draw(st.none() | st.dictionaries(st.sampled_from("ABCD"), st.sampled_from(consts)))
+    return store, body, target, consts, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_implication_queries())
+def test_substitutions_match_exhaustive_grounding_on_generated_stores(query):
+    from razor.logic import apply_subst
+
+    store, body, _, domain, seed = query
+    seed = seed or {}
+    free = sorted({v for b in body for v in b.vars()} - set(seed))
+    want = set()
+    for combo in product(domain, repeat=len(free)):
+        theta = {**seed, **dict(zip(free, combo))}
+        if all(store.contains(apply_subst(b, theta)) for b in body):
+            want.add(tuple(sorted((v, t.name) for v, t in theta.items())))
+    assert _subs_set(store, body, seed) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(_implication_queries())
+def test_implies_agrees_with_reference_on_generated_stores(query):
+    store, body, target, domain, seed = query
+    assert implies(store, body, target, domain, seed) == \
+        implies_by_refutation(store, body, target, domain, seed)
+
+
+# ---------------------------------------------------------------------------
+# least_model extending a base model
+# ---------------------------------------------------------------------------
+
+def _fact_set(store):
+    return {(key, args) for key in store._facts for args in store.tuples(key)}
+
+
+def _recursive_hypotheses(mt):
+    for size in range(2, mt.search_size + 1):
+        for h in enumerate_all(mt.task.bias, size):
+            heads = {r.head.pred_key for r in h}
+            if any(b.pred_key in heads for r in h for b in r.body):
+                yield h
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_extension_equals_full_model_on_recursive_micro_hypotheses(seed):
+    mt = random_task(seed, recursion=True)
+    bk = mt.task.bk
+    base = least_model(bk)
+    checked = 0
+    for h in _recursive_hypotheses(mt):
+        assert _fact_set(least_model(h, base=base)) == _fact_set(least_model([*bk, *h])), h
+        checked += 1
+    assert checked > 0
+
+
+def test_extension_equals_full_model_with_target_facts_in_bk():
+    # background facts of the target predicate are legal under recursion;
+    # the extension copies their bucket instead of sharing it
+    rng = random.Random(41)
+    recursive = 0
+    for _ in range(80):
+        bk = random_program(rng)
+        consts = sorted({t.name for r in bk for t in r.head.args if isinstance(t, Const)})
+        for _ in range(rng.randint(1, 4)):
+            pair = tuple(Const(rng.choice(consts)) for _ in range(2))
+            bk.append(Rule(Literal("goal", pair), frozenset()))
+        preds = sorted({r.head.pred_key for r in bk})
+        variables = [Var(v) for v in "ABC"]
+        h = set()
+        while len(h) < 2:
+            body = frozenset(
+                Literal(name, tuple(rng.choice(variables) for _ in range(arity)))
+                for name, arity in (rng.choice(preds) for _ in range(rng.randint(1, 3)))
+            )
+            rule = Rule(Literal("goal", (Var("A"), Var("B"))), body)
+            if is_safe(rule):
+                h.add(rule)
+        base = least_model(bk)
+        assert _fact_set(least_model(h, base=base)) == _fact_set(least_model([*bk, *h])), h
+        recursive += any(b.pred == "goal" for r in h for b in r.body)
+    assert recursive > 0
+
+
+def test_extension_leaves_the_base_unchanged():
+    mt = random_task(2, recursion=True)
+    base = least_model(mt.task.bk)
+    for key in list(base._facts):
+        for pos in range(key[1]):
+            base._index(key, pos)
+    facts = {key: set(bucket) for key, bucket in base._facts.items()}
+    indexes = {k: {v: list(b) for v, b in idx.items()} for k, idx in base._pos_index.items()}
+    target = mt.task.bias.head
+    grown = 0
+    for h in _recursive_hypotheses(mt):
+        ext = least_model(h, base=base)
+        grown += len(ext) > len(base)
+    assert grown > 0
+    assert base._facts == facts
+    assert base._pos_index == indexes
+    shared = next(key for key in base._facts if key != target)
+    with pytest.raises(ValueError, match="shared"):
+        ext.add_tuple(shared, ("x",) * shared[1])

@@ -278,6 +278,25 @@ def test_pointless_constraints_from_a_missed_positive_are_subsumed(seed):
     assert banned > 0
 
 
+@pytest.mark.parametrize("seed", [1, 2, 8, 12])
+def test_generalisation_constraints_of_one_rule_hypotheses_ban_nothing_new(seed):
+    # with one rule per hypothesis, a generalisation constraint bans only
+    # renamed subrules of the tested rule: smaller hypotheses, which the
+    # ascending-size enumerator offered before, and the tested one itself
+    mt = random_task(seed)
+    assert mt.task.bias.max_rules == 1
+    candidates = _all_candidates(mt)
+    rng = random.Random(seed)
+    smaller = 0
+    for h0 in rng.sample(candidates, 40):
+        c = Constraint(ConstraintKind.GENERALISATION, hypothesis=h0)
+        for h in candidates:
+            if violates(h, c):
+                assert h == h0 or hypothesis_size(h) < hypothesis_size(h0), (h0, h)
+                smaller += h != h0
+    assert smaller > 0
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
