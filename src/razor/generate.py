@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import enum
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, groupby
-from typing import Iterator, Mapping, Optional
+from itertools import chain, combinations, groupby, permutations, product
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .logic import (
     Const,
@@ -20,13 +21,11 @@ from .logic import (
     Rule,
     Var,
     abstract_key,
-    canonicalize,
-    connected,
+    concrete_key,
     hypothesis_key,
     hypothesis_sorted,
     in_search_space,
     is_basic,
-    is_safe,
     iter_renamings,
     rename_literal,
     renamed_subrule,
@@ -139,15 +138,13 @@ def _rule_key(rule: Rule) -> tuple:
             *sorted(_literal_key(lit, rule.head) for lit in rule.body))
 
 
-def _sub_keys(rule: Rule) -> tuple[tuple, ...]:
+@lru_cache(maxsize=None)
+def _rule_sub_keys(rule: Rule) -> tuple[tuple, ...]:
     """The index key of every sub-body of the rule, the empty one included."""
     head_key = abstract_key(rule.head)
     keys = sorted(_literal_key(lit, rule.head) for lit in rule.body)
     return tuple(dict.fromkeys(
         (head_key, *sub) for n in range(len(keys) + 1) for sub in combinations(keys, n)))
-
-
-_rule_sub_keys = lru_cache(maxsize=None)(_sub_keys)
 
 
 def _pointless_match(c: Constraint, r: Rule) -> Optional[tuple[Rule, Literal, Rule]]:
@@ -391,15 +388,53 @@ def rule_groups(size: int, max_rules: int) -> Iterator[tuple[tuple[int, int], ..
             yield tuple((part, len(list(run))) for part, run in groupby(comp))
 
 
+class _Choice(NamedTuple):
+    """A literal of the choice table, with the ranks of its abstract and
+    concrete keys among the table's literals and its arguments as
+    numbers: a variable by its index, a constant below zero."""
+
+    arank: int
+    crank: int
+    lit: Literal
+    args: tuple[int, ...]
+    used: int  # variables used after it
+    binds: bool  # it names a new variable
+    mask: int  # bitmask of its variables
+
+
+def _is_canonical(body: tuple[_Choice, ...], own: tuple[int, ...], n_head: int,
+                  crank_of: Mapping[tuple, int]) -> bool:
+    """canonicalize's test on ranks: whether no reordering of the tie groups
+    that bind a variable renames the body, in first-occurrence order, to
+    a smaller sorted tuple of concrete ranks than its own."""
+    groups = [tuple(g) for _, g in groupby(body, key=lambda c: c.arank)]
+    for seq in product(*(permutations(g) if any(c.binds for c in g) else (g,)
+                         for g in groups)):
+        names: dict[int, int] = {}
+        ranks = []
+        for c in chain.from_iterable(seq):
+            args = tuple(names.setdefault(a, n_head + len(names)) if a >= n_head else a
+                         for a in c.args)
+            ranks.append(crank_of[c.lit.pred, args])
+        if tuple(sorted(ranks)) < own:
+            return False
+    return True
+
+
 class HypothesisGenerator:
     """Streams canonical, bias-legal, constraint-satisfying hypotheses of a
     requested total size.  Constraints added between calls take effect for
     all subsequent candidates.  Each canonical hypothesis is offered at
-    most once per run: strata are deduplicated by canonical key, a
+    most once per run: a stratum holds each canonical rule once, a
     hypothesis's rule sizes pick one rule group and one selection from it,
     and each size has one stream.  Past the deadline (a time.perf_counter
     value) next_hypothesis raises DeadlineExceeded, and a later call for
-    that size starts the size over."""
+    that size starts the size over.
+
+    nodes_explored counts the bodies stratum assembly builds: every
+    partial body it extends, the empty one included, and every complete
+    body that is safe and connected, before the test against its
+    renamings.  time_stratum is the seconds spent in assembly."""
 
     def __init__(self, bias: Bias, store: ConstraintStore, audit: bool = False,
                  deadline: Optional[float] = None):
@@ -408,6 +443,7 @@ class HypothesisGenerator:
         self.audit = audit
         self.deadline = deadline
         self.nodes_explored = 0
+        self.time_stratum = 0.0
         self.emitted = 0
         self.considered = 0
         self.audit_records: list[AuditRecord] = []
@@ -424,89 +460,121 @@ class HypothesisGenerator:
         name, arity = self.bias.head
         return Literal(name, tuple(Var(var_name(i)) for i in range(arity)))
 
-    def _literal_choices(self, pred: PredKey, used: int) -> Iterator[tuple[Literal, int]]:
-        name, arity = pred
+    def _choice_table(self) -> list[list[_Choice]]:
+        """For each count of variables used so far, every literal the bias
+        allows next, sorted by abstract rank.  Variables are numbered in
+        first-occurrence order, so each argument is a used variable, the
+        next unused one or an allowed constant."""
         bias = self.bias
+        consts: dict[Const, int] = {}
+        rows: list[list[tuple[Literal, tuple[int, ...], int, int]]] = []
+        for used in range(bias.max_vars + 1):
+            row: list[tuple[Literal, tuple[int, ...], int, int]] = []
+            for pred in bias.generatable_preds():
+                name, arity = pred
 
-        def fill(i: int, args: tuple, cur: int) -> Iterator[tuple[Literal, int]]:
-            if i == arity:
-                yield Literal(name, args), cur
-                return
-            for v in range(cur):
-                yield from fill(i + 1, args + (Var(var_name(v)),), cur)
-            if cur < bias.max_vars:
-                yield from fill(i + 1, args + (Var(var_name(cur)),), cur + 1)
-            for const in bias.allowed_constants(pred, i):
-                yield from fill(i + 1, args + (const,), cur)
+                def fill(i: int, terms: tuple, args: tuple, cur: int, mask: int):
+                    if i == arity:
+                        row.append((Literal(name, terms), args, cur, mask))
+                        return
+                    for v in range(min(cur + 1, bias.max_vars)):
+                        fill(i + 1, terms + (Var(var_name(v)),), args + (v,),
+                             max(cur, v + 1), mask | 1 << v)
+                    for const in bias.allowed_constants(pred, i):
+                        code = -1 - consts.setdefault(const, len(consts))
+                        fill(i + 1, terms + (const,), args + (code,), cur, mask)
 
-        yield from fill(0, (), used)
-
-    def _partial_prunable(self, head: Literal, body: list[Literal]) -> bool:
-        """Fail-fast: every completion of this partial body is excluded by
-        some pointless constraint.  Only sound when every rule is basic
-        (recursion off) and when the reduced partial already carries the
-        head variables and the image's variables, so that completions keep
-        their reductions inside the search space."""
-        index = self.store.pointless_by_key
-        head_vars = head.vars()
-        partial = Rule(head, frozenset(body))
-        for key in _sub_keys(partial):
-            for _, c in index.get(key, ()):
-                ev = c.evidence
-                assert ev is not None
-                for theta in iter_renamings(ev.rule, partial):
-                    image = rename_literal(ev.literal, theta)
-                    reduced = Rule(head, partial.body - {image})
-                    if not in_search_space(reduced):
-                        continue
-                    core_vars = set(head_vars)
-                    for lit in reduced.body:
-                        core_vars |= lit.vars()
-                    if image.vars() <= core_vars:
-                        return True
-        return False
+                fill(0, (), (), used, 0)
+            rows.append(row)
+        lits = {entry[0] for row in rows for entry in row}
+        arank = {k: i for i, k in enumerate(sorted({abstract_key(l) for l in lits}))}
+        crank = {l: i for i, l in enumerate(sorted(lits, key=concrete_key))}
+        return [sorted((_Choice(arank[abstract_key(lit)], crank[lit], lit, args, cur,
+                                cur > used, mask)
+                        for lit, args, cur, mask in row), key=lambda c: c.arank)
+                for used, row in enumerate(rows)]
 
     def _assemble(self, rule_size: int) -> list[Rule]:
+        """The canonical, safe, connected rules of the given size, sorted by
+        rule_sort_key.
+
+        A body is built literal by literal from the choice table, with
+        nondecreasing abstract ranks and variables named in first-occurrence
+        order: the order in which canonicalize names them.  Body variables
+        and components are tracked as bitmasks, and the last slot takes
+        only literals that cover the head variables still missing and join
+        every component into one.  A body is its own canonical form, and
+        the only body of its rule, when no tie group (literals of equal
+        abstract rank) names a new variable and each run of tied literals
+        that name none is in concrete order; only the remaining bodies are
+        tested against their renamings, and kept once.  Within a stratum
+        the sorted tuple of concrete ranks orders rules as rule_sort_key
+        does."""
         bias = self.bias
         body_size = rule_size - 1
         if body_size < 1 or body_size > bias.max_body:
             return []
         head = self._head()
-        preds = bias.generatable_preds()
-        fail_fast = (not bias.recursion and not self.audit
-                     and self.store.count[ConstraintKind.POINTLESS_SUPER_RULE] > 0)
-        out: dict[tuple, Rule] = {}
+        n_head = bias.head[1]
+        table = self._choice_table()
+        aranks = [[c.arank for c in row] for row in table]
+        crank_of = {(c.lit.pred, c.args): c.crank for row in table for c in row}
+        head_mask = (1 << n_head) - 1
+        out: dict[tuple[int, ...], Rule] = {}
 
-        def extend(body: list[Literal], used: int):
+        def extend(body: tuple[_Choice, ...], used: int, bound: int,
+                   comps: tuple[int, ...], group_binds: bool, tied: bool):
+            # bound: bitmask of the body's variables; comps: bitmasks of the
+            # components of the head and body; group_binds: the last tie
+            # group names a new variable; tied: some tie group did
             self._check_deadline()
             self.nodes_explored += 1
-            if len(body) == body_size:
-                rule = Rule(head, frozenset(body))
-                if is_safe(rule) and connected(rule):
-                    canon = canonicalize(rule)
-                    out.setdefault(rule_sort_key(canon), canon)
-                return
-            last = abstract_key(body[-1]) if body else None
-            # interior nodes only: complete rules are filtered against the
-            # constraint store at selection time anyway
-            check = fail_fast and len(body) + 2 <= body_size
-            for pred in preds:
-                for lit, used2 in self._literal_choices(pred, used):
-                    if last is not None and abstract_key(lit) < last:
+            prev = body[-1] if body else None
+            last_slot = len(body) + 1 == body_size
+            missing = head_mask & ~bound
+            row = table[used]
+            for c in row[bisect_left(aranks[used], prev.arank) if prev else 0:]:
+                mask = c.mask
+                binds, ambiguous = c.binds, tied
+                if prev is not None and c.arank == prev.arank:
+                    if not c.binds and (any(b.crank == c.crank for b in body)
+                                        or (not prev.binds and c.crank < prev.crank)):
                         continue
-                    if lit in body:
-                        continue
-                    if check and self._partial_prunable(head, body + [lit]):
-                        continue
-                    extend(body + [lit], used2)
+                    binds = group_binds or c.binds
+                    ambiguous = tied or binds
+                if not last_slot:
+                    joined = comps
+                    if mask:
+                        merged = mask
+                        for k in comps:
+                            if k & mask:
+                                merged |= k
+                        joined = (*(k for k in comps if not k & mask), merged)
+                    extend(body + (c,), c.used, bound | mask, joined, binds, ambiguous)
+                    continue
+                # the last literal makes the rule safe and connected
+                if missing & ~mask or not (all(k & mask for k in comps) if mask
+                                           else len(comps) <= 1):
+                    continue
+                self._check_deadline()
+                self.nodes_explored += 1
+                full = body + (c,)
+                own = tuple(sorted(b.crank for b in full))
+                if ambiguous and (own in out or not _is_canonical(full, own, n_head, crank_of)):
+                    continue
+                out[own] = Rule(head, frozenset(b.lit for b in full))
 
-        extend([], bias.head[1])
+        extend((), n_head, 0, (head_mask,) if head_mask else (), False, False)
         return [out[k] for k in sorted(out)]
 
     def rule_stratum(self, rule_size: int) -> list[Rule]:
         # a stratum whose assembly ran past the deadline is never cached
         if rule_size not in self._strata:
-            self._strata[rule_size] = self._assemble(rule_size)
+            t0 = time.perf_counter()
+            try:
+                self._strata[rule_size] = self._assemble(rule_size)
+            finally:
+                self.time_stratum += time.perf_counter() - t0
         return self._strata[rule_size]
 
     # -- hypothesis-level enumeration ------------------------------------
@@ -523,7 +591,12 @@ class HypothesisGenerator:
                 part, count = groups[gi]
                 pool = self.rule_stratum(part)
                 if filter_rules and store.count[ConstraintKind.POINTLESS_SUPER_RULE]:
-                    pool = [r for r in pool if store.pointless_match(r) is None]
+                    kept = []
+                    for r in pool:
+                        self._check_deadline()
+                        if store.pointless_match(r) is None:
+                            kept.append(r)
+                    pool = kept
                 for sel in combinations(pool, count):
                     yield from pick(gi + 1, chosen + sel)
 

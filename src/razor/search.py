@@ -25,7 +25,6 @@ from .logic import (
     Hypothesis,
     Literal,
     Rule,
-    canonicalize,
     hypothesis_size,
 )
 from .pointless import DetectMode, PointlessEvidence, find_pointless
@@ -64,6 +63,7 @@ class Stats:
     time_total: float = 0.0
     time_detection: float = 0.0
     time_testing: float = 0.0
+    time_stratum: float = 0.0  # rule-stratum assembly in the generator
     seed: Optional[int] = None
 
     def to_dict(self) -> dict:
@@ -81,7 +81,9 @@ class LearnResult:
 
 
 class CoverageTester:
-    """Coverage testing against a task with per-rule memoization.
+    """Coverage testing against a task with per-rule memoization, keyed by
+    the rule as given: the generator builds every rule in canonical form,
+    so it never offers two renamings of one rule.
 
     Non-recursive hypotheses are tested by OR-ing cached per-rule coverage
     bitmasks over the background model; recursive ones extend the cached
@@ -106,19 +108,18 @@ class CoverageTester:
         return mask
 
     def rule_masks(self, rule: Rule) -> tuple[int, int]:
-        key = canonicalize(rule)
-        cached = self._rule_cache.get(key)
+        cached = self._rule_cache.get(rule)
         if cached is not None:
             return cached
         pm = 0
         for i, e in enumerate(self.pos):
-            if e.pred_key == key.head.pred_key and covers_rule(self.model, key, e):
+            if e.pred_key == rule.head.pred_key and covers_rule(self.model, rule, e):
                 pm |= 1 << i
         nm = 0
         for i, e in enumerate(self.neg):
-            if e.pred_key == key.head.pred_key and covers_rule(self.model, key, e):
+            if e.pred_key == rule.head.pred_key and covers_rule(self.model, rule, e):
                 nm |= 1 << i
-        self._rule_cache[key] = (pm, nm)
+        self._rule_cache[rule] = (pm, nm)
         return (pm, nm)
 
     @staticmethod
@@ -189,6 +190,7 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
     def finish() -> LearnResult:
         stats.generated = gen.emitted
         stats.nodes_explored = gen.nodes_explored
+        stats.time_stratum = gen.time_stratum
         stats.constraints = store.counts()
         stats.time_total = time.perf_counter() - t_start
         if termination == TIMEOUT and stats.tested == 0:

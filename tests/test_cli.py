@@ -34,7 +34,8 @@ def test_learn_writes_versioned_stats(capsys, fixtures_dir, tmp_path):
     assert record["best_errors"] == 0
     assert record["stats"]["seed"] == 7
     for field in ("generated", "tested", "time_total", "time_detection",
-                  "time_testing", "constraints", "evidence", "detect_subsumed"):
+                  "time_testing", "time_stratum", "constraints", "evidence",
+                  "detect_subsumed"):
         assert field in record["stats"]
 
 

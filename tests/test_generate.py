@@ -25,10 +25,11 @@ from razor.logic import (
     canonicalize_hypothesis,
     hypothesis_key,
     hypothesis_size,
+    in_search_space,
     rename_literal,
 )
 from razor.microtask import random_task
-from razor.oracle import enumerate_all
+from razor.oracle import DEFAULT_CEILING, _rule_stratum, enumerate_all
 from razor.pointless import PointlessEvidence, PointlessKind, reduce_rule
 from razor.search import CoverageTester
 
@@ -335,17 +336,6 @@ def test_pointless_constraint_blocks_future_candidates(intro_task):
                 assert not {"odd(A)", "int(A)"} <= body, repr(rule)
 
 
-def test_fail_fast_reduces_explored_nodes(intro_task):
-    plain = HypothesisGenerator(intro_task.bias, ConstraintStore())
-    _drain(plain, 4)
-
-    store = ConstraintStore()
-    store.add(_pointless_con(intro_task, "f(A) :- odd(A), int(A)."))
-    pruned = HypothesisGenerator(intro_task.bias, store)
-    _drain(pruned, 4)
-    assert pruned.nodes_explored < plain.nodes_explored
-
-
 def test_emission_is_sound_against_violates(intro_task):
     # every emitted hypothesis satisfies every stored constraint
     store = ConstraintStore()
@@ -399,6 +389,20 @@ def test_no_duplicate_emissions_across_sizes(fixtures_dir):
         assert len(emitted) == len(set(emitted)), name
 
 
+def test_empty_store_stratum_is_the_oracle_stratum(fixtures_dir):
+    # the assembler and oracle._rule_stratum share no code: the same rules
+    # in the same rule_sort_key order, for every rule size of the bias
+    for name, task, _ in _drained_tasks(fixtures_dir):
+        gen = HypothesisGenerator(task.bias, ConstraintStore())
+        for rule_size in range(2, task.bias.max_body + 2):
+            stratum = gen.rule_stratum(rule_size)
+            assert stratum == _rule_stratum(task.bias, rule_size, DEFAULT_CEILING), \
+                (name, rule_size)
+            for rule in stratum:
+                assert canonicalize(rule) == rule, (name, rule)
+                assert in_search_space(rule), (name, rule)
+
+
 def test_stratum_matches_oracle_enumeration():
     for seed in (201, 202, 203):
         task = random_task(seed).task
@@ -415,6 +419,21 @@ def test_deadline_never_leaves_a_partial_stratum(intro_task):
         gen.next_hypothesis(3)
     gen.deadline = None
     assert _drain(gen, 3) == _drain(fresh, 3)
+
+
+def test_pool_filter_checks_the_deadline(intro_task, monkeypatch):
+    store = ConstraintStore()
+    store.add(_pointless_con(intro_task, "f(A) :- odd(A), int(A)."))
+    gen = HypothesisGenerator(intro_task.bias, store)
+    assert gen.rule_stratum(4)  # assembled and cached before the deadline
+    matched = []
+    real = store.pointless_match
+    monkeypatch.setattr(store, "pointless_match", lambda r: matched.append(r) or real(r))
+    gen.deadline = 0.0
+    with pytest.raises(DeadlineExceeded):
+        gen.next_hypothesis(4)
+    assert gen.considered == 0
+    assert matched == []
 
 
 def test_size_below_two_rejected(intro_task):
