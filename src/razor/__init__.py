@@ -4,14 +4,11 @@ captured literals are redundant (implied by the rest of the body) or
 indiscriminate (unable to exclude any negative example)."""
 
 from .datalog import (
-    Coverage,
     FactStore,
     UnsafeRuleError,
-    coverage,
     covers_rule,
     implies,
     least_model,
-    least_model_naive,
     satisfying_substitutions,
 )
 from .generate import (
@@ -50,6 +47,7 @@ from .pointless import (
     is_indiscriminate_direct,
     is_reducible,
 )
+from .reference import Coverage, coverage, least_model_naive
 from .search import (
     CostScore,
     LearnConfig,

@@ -1,23 +1,33 @@
 """Bottom-up evaluation of function-free definite programs and the
 entailment queries used for coverage testing and redundancy detection.
 
-Every query runs on one join engine: a conjunction is compiled once into
-a plan of argument slots, and a binding is a list of constant names
-indexed by slot (``None`` while the slot is free) that the join extends
-in place and restores on backtracking."""
+Rule bodies are compiled once into plans of argument slots.  Two join
+engines run on them:
+
+- ``_solve`` serves the existential and enumeration queries
+  (``covers_rule``, ``implies``, ``satisfying_substitutions``): it works
+  tuple at a time on a binding list indexed by slot, picks the smallest
+  index bucket per binding and stops at the first solution its caller
+  wants.
+- The fixpoint rounds of ``least_model`` run set at a time: each rule
+  body, once per body position a delta can feed, is compiled into a
+  pipeline of steps with a static join order, and every step joins a
+  whole batch of bindings against the store in one comprehension.
+"""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Collection, Iterable, Iterator, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence, Union
 
+from .deadline import check_deadline
 from .logic import (
     Const,
     Literal,
     Rule,
     Substitution,
-    apply_subst,
     concrete_key,
     unsafe_head_vars,
 )
@@ -76,10 +86,13 @@ class FactStore:
         args = tuple(t.name for t in atom.args)
         return self.add_tuple(atom.pred_key, args)
 
-    def add_tuple(self, key: PredKey, args: Fact) -> bool:
+    def _own_bucket(self, key: PredKey) -> set[Fact]:
         if self._base is not None and key not in self._owned:
             raise ValueError(f"predicate {key[0]}/{key[1]} is shared with the base store")
-        bucket = self._facts.setdefault(key, set())
+        return self._facts.setdefault(key, set())
+
+    def add_tuple(self, key: PredKey, args: Fact) -> bool:
+        bucket = self._own_bucket(key)
         if args in bucket:
             return False
         bucket.add(args)
@@ -88,6 +101,19 @@ class FactStore:
             if idx is not None:
                 idx.setdefault(args[pos], []).append(args)
         return True
+
+    def update(self, key: PredKey, facts: set[Fact]) -> set[Fact]:
+        """Add the facts to the predicate's bucket and to every index built
+        over it; return the ones that were new."""
+        bucket = self._own_bucket(key)
+        fresh = facts - bucket
+        bucket |= fresh
+        for pos in range(key[1]):
+            idx = self._pos_index.get((key, pos))
+            if idx is not None:
+                for args in fresh:
+                    idx.setdefault(args[pos], []).append(args)
+        return fresh
 
     def has(self, key: PredKey, args: Fact) -> bool:
         bucket = self._facts.get(key)
@@ -151,15 +177,16 @@ class _Plan:
     optional extra literal (a rule head, or the literal an implication
     tests) sharing the slots."""
 
-    __slots__ = ("names", "slot", "body", "head", "rests")
+    __slots__ = ("names", "slot", "body", "head", "pipelines")
 
     def __init__(self, body: Iterable[Literal], head: Optional[Literal]):
         self.slot: dict[str, int] = {}
         self.body = tuple(self.compile(lit) for lit in sorted(body, key=concrete_key))
         self.head = self.compile(head) if head is not None else None
         self.names = tuple(self.slot)
-        # the body without literal i, for semi-naive rounds
-        self.rests = tuple(self.body[:i] + self.body[i + 1:] for i in range(len(self.body)))
+        # fixpoint pipelines, compiled on first use: key None joins the
+        # whole body, key i starts from delta facts of body literal i
+        self.pipelines: dict[Optional[int], _Pipeline] = {}
 
     def compile(self, lit: Literal) -> CompiledLiteral:
         args = tuple(
@@ -175,6 +202,12 @@ class _Plan:
             if s is not None and isinstance(term, Const):
                 b[s] = term.name
         return b
+
+    def pipeline(self, first: Optional[int] = None) -> _Pipeline:
+        pipe = self.pipelines.get(first)
+        if pipe is None:
+            pipe = self.pipelines[first] = _Pipeline(self.body, self.head, first)  # type: ignore[arg-type]
+        return pipe
 
 
 @lru_cache(maxsize=32)
@@ -303,39 +336,205 @@ def _check_safe(rules: Iterable[Rule]) -> None:
             raise UnsafeRuleError(rule, missing)
 
 
+# ---------------------------------------------------------------------------
+# set-at-a-time fixpoint rounds
+# ---------------------------------------------------------------------------
+
+# a pipeline binding: the values of the bound variables in binding order
+Row = tuple
+
+
+def _projector(items: Sequence[Arg]) -> Callable[[tuple], tuple]:
+    """The function building a tuple from a row or a fact: an int item is
+    a position in it, a str item a constant."""
+    if any(a.__class__ is str for a in items):
+        return lambda row: tuple([a if a.__class__ is str else row[a] for a in items])
+    if len(items) > 1:
+        return itemgetter(*items)
+    if items:
+        (q,) = items
+        return lambda row: (row[q],)
+    return lambda row: ()
+
+
+class _Step:
+    """One body literal joined against a whole batch of rows.
+
+    The literal's arguments split into the one index lookup, the remaining
+    equality checks and the appended positions:
+
+    - ``pos`` and ``src``: the lookup, the argument at fact position pos
+      against ``src``, a row position (int) or a constant (str); pos is -1
+      when the step scans the predicate (no bound argument, or the first
+      step of a delta pipeline, which scans the delta);
+    - ``check_at`` and ``check_of``: the other bound arguments, as the
+      facts' values at those positions and the values a row demands there
+      (constants when the lookup is not a row's);
+    - ``rep_at`` and ``rep_of``: a variable repeated among the new ones
+      makes equal the facts' values at these two lists of positions;
+    - ``appends``: the fact positions of the new variables, in binding
+      order, appended to each row; empty when nothing later reads them,
+      and the step then keeps each row that some fact matches, once.
+
+    A literal with no new variable is a membership test: ``member``
+    builds its fact from a row."""
+
+    __slots__ = ("key", "pos", "src", "filtered", "check_at", "check_of",
+                 "rep_at", "rep_of", "appends", "get", "member")
+
+    def __init__(self, lit: CompiledLiteral, at: dict[int, int], live: set[int], scan: bool):
+        key, args = lit
+        self.key = key
+        self.pos, self.src = -1, None
+        self.member: Optional[Callable[[Row], Fact]] = None
+        checked: list[tuple[int, Arg]] = []
+        repeats: list[tuple[int, int]] = []
+        first: dict[int, int] = {}  # new slot -> its first fact position
+        for j, a in enumerate(args):
+            if a.__class__ is str or a in at:
+                checked.append((j, a if a.__class__ is str else at[a]))  # type: ignore[index]
+            elif a in first:
+                repeats.append((first[a], j))
+            else:
+                first[a] = j  # type: ignore[index]
+        if not first:
+            self.member = _projector([v for _, v in checked])
+        elif not scan:
+            # a row position is the selective lookup; a constant picks one
+            # bucket for the whole batch
+            lookup = next((c for c in checked if c[1].__class__ is int), None) \
+                or next(iter(checked), None)
+            if lookup is not None:
+                checked.remove(lookup)
+                self.pos, self.src = lookup
+        self.filtered = bool(checked or repeats)
+        self.check_at = _projector([j for j, _ in checked])
+        self.check_of = _projector([v for _, v in checked])
+        self.rep_at = _projector([j for j, _ in repeats])
+        self.rep_of = _projector([k for _, k in repeats])
+        self.appends: tuple[int, ...] = ()
+        if self.member is None and live & first.keys():
+            self.appends = tuple(first.values())
+            for s in first:
+                at[s] = len(at)
+        self.get = _projector(self.appends)
+
+    def _matches(self, facts: Collection[Fact], want: tuple) -> Collection[Fact]:
+        if not self.filtered:
+            return facts
+        check_at, rep_at, rep_of = self.check_at, self.rep_at, self.rep_of
+        return [f for f in facts if check_at(f) == want and rep_at(f) == rep_of(f)]
+
+    def run(self, store: FactStore, rows: list[Row],
+            facts: Optional[Collection[Fact]] = None) -> list[Row]:
+        """The rows extended by the matching facts of the store, or of the
+        given facts for a scanning step."""
+        if self.member is not None:
+            have = store.tuples(self.key) if facts is None else facts
+            member = self.member
+            return [row for row in rows if member(row) in have]
+        src, get = self.src, self.get
+        if src.__class__ is not int:
+            # one candidate list for every row, a constant's bucket or a
+            # scan; no variable is bound, so every check is on a constant
+            if facts is None:
+                facts = store.tuples(self.key) if src is None else \
+                    store._index(self.key, self.pos).get(src, ())  # type: ignore[arg-type]
+            cands = self._matches(facts, self.check_of(()))
+            if not self.appends:
+                return rows if cands else []
+            values = [get(f) for f in cands]
+            return [row + v for row in rows for v in values]
+        idx = store._index(self.key, self.pos)
+        if not self.filtered and len(self.appends) == 1:
+            (j,) = self.appends
+            return [row + (f[j],) for row in rows for f in idx.get(row[src], ())]
+        out = []
+        for row in rows:
+            bucket = idx.get(row[src])
+            if bucket:
+                cands = self._matches(bucket, self.check_of(row))
+                if not self.appends:
+                    if cands:
+                        out.append(row)
+                else:
+                    out.extend([row + get(f) for f in cands])
+        return out
+
+
+class _Pipeline:
+    """A rule body compiled for fixpoint rounds: its literals as steps in a
+    static join order, the first one fixed when the pipeline starts from
+    a delta, then greedily the literal with the most bound arguments
+    (a literal with none free first; ties keep the plan's order), and the
+    head as a projection of the final rows."""
+
+    __slots__ = ("steps", "head")
+
+    def __init__(self, body: Sequence[CompiledLiteral], head: CompiledLiteral,
+                 first: Optional[int]):
+        rest = [i for i in range(len(body)) if i != first]
+        order = [] if first is None else [first]
+        bound: set[Arg] = set() if first is None else set(body[first][1])
+
+        def rank(i: int) -> tuple[bool, int]:
+            args = body[i][1]
+            free = sum(1 for a in args if a.__class__ is int and a not in bound)
+            return (free > 0, free - len(args))
+
+        while rest:
+            i = min(rest, key=rank)
+            rest.remove(i)
+            order.append(i)
+            bound.update(body[i][1])
+        # the slots each step must bind for the later steps and the head
+        live: list[set[int]] = []
+        needed = {a for a in head[1] if a.__class__ is int}
+        for i in reversed(order):
+            live.append(set(needed))
+            needed.update(a for a in body[i][1] if a.__class__ is int)  # type: ignore[misc]
+        live.reverse()
+        at: dict[int, int] = {}
+        self.steps = tuple(_Step(body[i], at, needed_after, scan=(k == 0 and first is not None))
+                           for k, (i, needed_after) in enumerate(zip(order, live)))
+        self.head = _projector([a if a.__class__ is str else at[a] for a in head[1]])
+
+    def run(self, store: FactStore, delta: Optional[Collection[Fact]] = None) -> Iterator[Fact]:
+        """The head facts the body derives, starting from the given delta
+        facts of the first literal when the pipeline has one."""
+        rows: list[Row] = [()]
+        for k, step in enumerate(self.steps):
+            rows = step.run(store, rows, delta if k == 0 else None)
+            if not rows:
+                break
+        return map(self.head, rows)
+
+
 def _round(store: FactStore, plans: Sequence[_Plan],
            delta: Optional[dict[PredKey, set[Fact]]]) -> dict[PredKey, set[Fact]]:
-    """One bottom-up round: the head facts not yet in the store that the
-    rules derive, joining every body against the whole store (delta None)
-    or, semi-naively, one body literal against the delta facts.  The
-    store is only grown after the round."""
+    """One bottom-up round: the head facts the rules derive, joining every
+    body against the whole store (delta None) or, semi-naively, one body
+    literal against the delta facts and the others against the store.
+    The store is only grown after the round."""
     new: dict[PredKey, set[Fact]] = {}
     for plan in plans:
-        key, head = plan.head  # type: ignore[misc]
-        known = store.tuples(key)
-        derived = new.setdefault(key, set())
-        empty: Binding = [None] * len(plan.names)
+        derived = new.setdefault(plan.head[0], set())  # type: ignore[index]
         if delta is None:
-            for b in _solve(store, plan.body, empty):
-                fact = _ground(head, b)
-                if fact not in known:
-                    derived.add(fact)
+            derived.update(plan.pipeline().run(store))
             continue
-        for (lit_key, args), rest in zip(plan.body, plan.rests):
-            for fresh in delta.get(lit_key, ()):
-                b = empty[:]
-                if not _match(args, fresh, b):
-                    continue
-                for b in _solve(store, rest, b):
-                    fact = _ground(head, b)
-                    if fact not in known:
-                        derived.add(fact)
-    return {key: facts for key, facts in new.items() if facts}
+        for i, (key, _) in enumerate(plan.body):
+            fresh = delta.get(key)
+            if fresh:
+                derived.update(plan.pipeline(i).run(store, fresh))
+    return new
 
 
-def least_model(program: Iterable[Rule], base: Optional[FactStore] = None) -> FactStore:
+def least_model(program: Iterable[Rule], base: Optional[FactStore] = None,
+                deadline: Optional[float] = None) -> FactStore:
     """Least Herbrand model of a safe, function-free definite program,
-    computed by semi-naive bottom-up iteration.
+    computed by semi-naive bottom-up iteration, one set-at-a-time round
+    after another.  Past the deadline (a time.perf_counter value), checked
+    between rounds, it raises DeadlineExceeded.
 
     With ``base``, the model of the program together with the base's atoms
     as facts, built as an extension of the base: only the buckets of the
@@ -358,58 +557,17 @@ def least_model(program: Iterable[Rule], base: Optional[FactStore] = None) -> Fa
         else:
             store.add_tuple(rule.head.pred_key, tuple(t.name for t in rule.head.args))
 
-    delta = _round(store, plans, None)
-    while delta:
-        for key, facts in delta.items():
-            for fact in facts:
-                store.add_tuple(key, fact)
-        delta = _round(store, plans, delta)
-    return store
-
-
-def least_model_naive(program: Iterable[Rule]) -> FactStore:
-    """Reference implementation: naive iteration with exhaustive grounding.
-    Exponential in rule arity; only suitable for small programs."""
-    rules = list(program)
-    _check_safe(rules)
-    consts: set[str] = set()
-    for rule in rules:
-        for lit in [rule.head, *rule.body]:
-            consts.update(t.name for t in lit.args if isinstance(t, Const))
-
-    model: set[tuple[PredKey, Fact]] = set()
-    for rule in rules:
-        if not rule.body:
-            model.add((rule.head.pred_key, tuple(t.name for t in rule.head.args)))
-
-    changed = True
-    while changed:
-        changed = False
-        domain = sorted(consts)
-        for rule in rules:
-            if not rule.body:
-                continue
-            rule_vars = sorted(rule.vars())
-            for combo in product(domain, repeat=len(rule_vars)):
-                theta = {v: Const(c) for v, c in zip(rule_vars, combo)}
-                ok = True
-                for lit in rule.body:
-                    g = apply_subst(lit, theta)
-                    if (g.pred_key, tuple(t.name for t in g.args)) not in model:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                head = apply_subst(rule.head, theta)
-                item = (head.pred_key, tuple(t.name for t in head.args))
-                if item not in model:
-                    model.add(item)
-                    changed = True
-
-    store = FactStore()
-    for key, args in model:
-        store.add_tuple(key, args)
-    return store
+    derived = _round(store, plans, None)
+    while True:
+        delta = {}
+        for key, facts in derived.items():
+            fresh = store.update(key, facts)
+            if fresh:
+                delta[key] = fresh
+        if not delta:
+            return store
+        check_deadline(deadline)
+        derived = _round(store, plans, delta)
 
 
 def head_binding(rule: Rule, example: Literal) -> Optional[Substitution]:
@@ -446,35 +604,6 @@ def covers_rule(store: FactStore, rule: Rule, example: Literal) -> bool:
     if not _match(plan.head[1], tuple(t.name for t in example.args), b):  # type: ignore[index]
         return False
     return next(_solve(store, plan.body, b), None) is not None
-
-
-class Coverage:
-    """Classification of the examples under a hypothesis."""
-
-    __slots__ = ("tp", "fn", "fp", "tn", "covered_pos", "covered_neg")
-
-    def __init__(self, covered_pos: frozenset[Literal], covered_neg: frozenset[Literal],
-                 pos: Sequence[Literal], neg: Sequence[Literal]):
-        self.covered_pos = covered_pos
-        self.covered_neg = covered_neg
-        self.tp = len(covered_pos)
-        self.fn = len(pos) - self.tp
-        self.fp = len(covered_neg)
-        self.tn = len(neg) - self.fp
-
-    @property
-    def errors(self) -> int:
-        return self.fp + self.fn
-
-
-def coverage(bk: Iterable[Rule], h: Iterable[Rule],
-             pos: Sequence[Literal], neg: Sequence[Literal]) -> Coverage:
-    """Classify every example against the least model of bk together with
-    the hypothesis.  Correct for recursive and multi-rule hypotheses."""
-    model = least_model([*bk, *h])
-    covered_pos = frozenset(e for e in pos if model.contains(e))
-    covered_neg = frozenset(e for e in neg if model.contains(e))
-    return Coverage(covered_pos, covered_neg, pos, neg)
 
 
 def _component(lits: Sequence[CompiledLiteral], slots: set[int],
@@ -540,27 +669,5 @@ def implies(
         for s, val in zip(order, combo):
             b[s] = val
         if _ground(args, b) not in facts and _satisfiable(store, relevant, b):
-            return False
-    return True
-
-
-def implies_by_refutation(
-    store: FactStore,
-    body: Iterable[Literal],
-    lit: Literal,
-    domain: Sequence[Const],
-    seed: Optional[Substitution] = None,
-) -> bool:
-    """Reference implementation of ``implies``, refutation-first only:
-    every grounding of lit's free variables over the domain that falsifies
-    lit gets a satisfiability check of the body.  |domain|^k checks even
-    when the body has no solution; for tests only."""
-    body = list(body)
-    free = sorted(lit.vars() - set(seed or ()))
-    for combo in product(domain, repeat=len(free)):
-        binding: Substitution = dict(seed or {})
-        binding.update(zip(free, combo))
-        if not store.contains(apply_subst(lit, binding)) and \
-                next(satisfying_substitutions(store, body, binding), None) is not None:
             return False
     return True

@@ -14,6 +14,7 @@ from functools import lru_cache
 from itertools import chain, combinations, groupby, permutations, product
 from typing import Iterator, Mapping, NamedTuple, Optional
 
+from .deadline import DeadlineExceeded, check_deadline
 from .logic import (
     Const,
     Hypothesis,
@@ -39,11 +40,6 @@ PredKey = tuple[str, int]
 
 class BiasError(ValueError):
     pass
-
-
-class DeadlineExceeded(Exception):
-    """The generator's deadline passed before the next candidate was
-    found."""
 
 
 @dataclass(frozen=True)
@@ -450,10 +446,6 @@ class HypothesisGenerator:
         self._strata: dict[int, list[Rule]] = {}
         self._streams: dict[int, Iterator[Hypothesis]] = {}
 
-    def _check_deadline(self):
-        if self.deadline is not None and time.perf_counter() > self.deadline:
-            raise DeadlineExceeded
-
     # -- rule-level enumeration ------------------------------------------
 
     def _head(self) -> Literal:
@@ -527,7 +519,7 @@ class HypothesisGenerator:
             # bound: bitmask of the body's variables; comps: bitmasks of the
             # components of the head and body; group_binds: the last tie
             # group names a new variable; tied: some tie group did
-            self._check_deadline()
+            check_deadline(self.deadline)
             self.nodes_explored += 1
             prev = body[-1] if body else None
             last_slot = len(body) + 1 == body_size
@@ -556,7 +548,7 @@ class HypothesisGenerator:
                 if missing & ~mask or not (all(k & mask for k in comps) if mask
                                            else len(comps) <= 1):
                     continue
-                self._check_deadline()
+                check_deadline(self.deadline)
                 self.nodes_explored += 1
                 full = body + (c,)
                 own = tuple(sorted(b.crank for b in full))
@@ -593,7 +585,7 @@ class HypothesisGenerator:
                 if filter_rules and store.count[ConstraintKind.POINTLESS_SUPER_RULE]:
                     kept = []
                     for r in pool:
-                        self._check_deadline()
+                        check_deadline(self.deadline)
                         if store.pointless_match(r) is None:
                             kept.append(r)
                     pool = kept
@@ -616,7 +608,7 @@ class HypothesisGenerator:
 
     def _stream(self, size: int) -> Iterator[Hypothesis]:
         for h in self._candidates(size):
-            self._check_deadline()
+            check_deadline(self.deadline)
             self.considered += 1
             if self._passes(h):
                 self.emitted += 1

@@ -1,0 +1,112 @@
+"""Slow reference implementations kept apart from the hot path: the
+naive least model, whole-model coverage and refutation-first
+implication.  The tests check the fast queries of ``razor.datalog``
+against them."""
+
+from __future__ import annotations
+
+from itertools import product
+from typing import Iterable, Optional, Sequence
+
+from .datalog import Fact, FactStore, PredKey, _check_safe, least_model, satisfying_substitutions
+from .logic import Const, Literal, Rule, Substitution, apply_subst
+
+
+def least_model_naive(program: Iterable[Rule]) -> FactStore:
+    """Reference implementation: naive iteration with exhaustive grounding.
+    Exponential in rule arity; only suitable for small programs."""
+    rules = list(program)
+    _check_safe(rules)
+    consts: set[str] = set()
+    for rule in rules:
+        for lit in [rule.head, *rule.body]:
+            consts.update(t.name for t in lit.args if isinstance(t, Const))
+
+    model: set[tuple[PredKey, Fact]] = set()
+    for rule in rules:
+        if not rule.body:
+            model.add((rule.head.pred_key, tuple(t.name for t in rule.head.args)))
+
+    changed = True
+    while changed:
+        changed = False
+        domain = sorted(consts)
+        for rule in rules:
+            if not rule.body:
+                continue
+            rule_vars = sorted(rule.vars())
+            for combo in product(domain, repeat=len(rule_vars)):
+                theta = {v: Const(c) for v, c in zip(rule_vars, combo)}
+                ok = True
+                for lit in rule.body:
+                    g = apply_subst(lit, theta)
+                    if (g.pred_key, tuple(t.name for t in g.args)) not in model:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                head = apply_subst(rule.head, theta)
+                item = (head.pred_key, tuple(t.name for t in head.args))
+                if item not in model:
+                    model.add(item)
+                    changed = True
+
+    store = FactStore()
+    for key, args in model:
+        store.add_tuple(key, args)
+    return store
+
+
+
+
+class Coverage:
+    """Classification of the examples under a hypothesis."""
+
+    __slots__ = ("tp", "fn", "fp", "tn", "covered_pos", "covered_neg")
+
+    def __init__(self, covered_pos: frozenset[Literal], covered_neg: frozenset[Literal],
+                 pos: Sequence[Literal], neg: Sequence[Literal]):
+        self.covered_pos = covered_pos
+        self.covered_neg = covered_neg
+        self.tp = len(covered_pos)
+        self.fn = len(pos) - self.tp
+        self.fp = len(covered_neg)
+        self.tn = len(neg) - self.fp
+
+    @property
+    def errors(self) -> int:
+        return self.fp + self.fn
+
+
+def coverage(bk: Iterable[Rule], h: Iterable[Rule],
+             pos: Sequence[Literal], neg: Sequence[Literal]) -> Coverage:
+    """Classify every example against the least model of bk together with
+    the hypothesis.  Correct for recursive and multi-rule hypotheses."""
+    model = least_model([*bk, *h])
+    covered_pos = frozenset(e for e in pos if model.contains(e))
+    covered_neg = frozenset(e for e in neg if model.contains(e))
+    return Coverage(covered_pos, covered_neg, pos, neg)
+
+
+
+
+def implies_by_refutation(
+    store: FactStore,
+    body: Iterable[Literal],
+    lit: Literal,
+    domain: Sequence[Const],
+    seed: Optional[Substitution] = None,
+) -> bool:
+    """Reference implementation of ``implies``, refutation-first only:
+    every grounding of lit's free variables over the domain that falsifies
+    lit gets a satisfiability check of the body.  |domain|^k checks even
+    when the body has no solution; for tests only."""
+    body = list(body)
+    free = sorted(lit.vars() - set(seed or ()))
+    for combo in product(domain, repeat=len(free)):
+        binding: Substitution = dict(seed or {})
+        binding.update(zip(free, combo))
+        if not store.contains(apply_subst(lit, binding)) and \
+                next(satisfying_substitutions(store, body, binding), None) is not None:
+            return False
+    return True

@@ -13,12 +13,12 @@ from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .datalog import FactStore, covers_rule, least_model
+from .deadline import DeadlineExceeded
 from .generate import (
     AuditRecord,
     Constraint,
     ConstraintKind,
     ConstraintStore,
-    DeadlineExceeded,
     HypothesisGenerator,
 )
 from .logic import (
@@ -55,6 +55,7 @@ class LearnConfig:
 @dataclass
 class Stats:
     generated: int = 0
+    considered: int = 0  # candidates checked against the store; generated of them passed
     tested: int = 0
     nodes_explored: int = 0
     constraints: dict = field(default_factory=dict)
@@ -87,13 +88,16 @@ class CoverageTester:
 
     Non-recursive hypotheses are tested by OR-ing cached per-rule coverage
     bitmasks over the background model; recursive ones extend the cached
-    background model with the fixpoint of the hypothesis's rules.
+    background model with the fixpoint of the hypothesis's rules, which
+    raises DeadlineExceeded past the deadline (a time.perf_counter value).
     """
 
-    def __init__(self, bk: Sequence[Rule], pos: Sequence[Literal], neg: Sequence[Literal]):
+    def __init__(self, bk: Sequence[Rule], pos: Sequence[Literal], neg: Sequence[Literal],
+                 deadline: Optional[float] = None):
         self.bk = list(bk)
         self.pos = list(pos)
         self.neg = list(neg)
+        self.deadline = deadline
         self.model = least_model(self.bk)
         self.base_pos = self._mask(self.pos, self.model)
         self.base_neg = self._mask(self.neg, self.model)
@@ -129,7 +133,7 @@ class CoverageTester:
 
     def masks(self, h: Hypothesis) -> tuple[int, int]:
         if self._is_recursive(h):
-            model = least_model(h, base=self.model)
+            model = least_model(h, base=self.model, deadline=self.deadline)
             return (self._mask(self.pos, model), self._mask(self.neg, model))
         pm, nm = self.base_pos, self.base_neg
         for rule in h:
@@ -177,7 +181,7 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
 
     store = ConstraintStore()
     gen = HypothesisGenerator(bias, store, audit=config.audit, deadline=deadline)
-    tester = CoverageTester(task.bk, task.pos, task.neg)
+    tester = CoverageTester(task.bk, task.pos, task.neg, deadline)
     neg = list(task.neg)
     domain = list(task.constant_domain)
 
@@ -189,6 +193,7 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
 
     def finish() -> LearnResult:
         stats.generated = gen.emitted
+        stats.considered = gen.considered
         stats.nodes_explored = gen.nodes_explored
         stats.time_stratum = gen.time_stratum
         stats.constraints = store.counts()
@@ -210,7 +215,11 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
                 break
 
             t0 = time.perf_counter()
-            pm, nm = tester.masks(h)
+            try:
+                pm, nm = tester.masks(h)
+            except DeadlineExceeded:
+                termination = TIMEOUT
+                return finish()
             stats.time_testing += time.perf_counter() - t0
             stats.tested += 1
             fn = len(tester.pos) - pm.bit_count()

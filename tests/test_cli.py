@@ -33,7 +33,7 @@ def test_learn_writes_versioned_stats(capsys, fixtures_dir, tmp_path):
     assert "banish" not in record["stats"]["constraints"]
     assert record["best_errors"] == 0
     assert record["stats"]["seed"] == 7
-    for field in ("generated", "tested", "time_total", "time_detection",
+    for field in ("generated", "considered", "tested", "time_total", "time_detection",
                   "time_testing", "time_stratum", "constraints", "evidence",
                   "detect_subsumed"):
         assert field in record["stats"]

@@ -1,8 +1,9 @@
 import random
+import time
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import ground, lit, parse_hypothesis, parse_rule
@@ -18,7 +19,9 @@ from razor import (
     satisfying_substitutions,
     subrule,
 )
-from razor.datalog import FactStore, head_binding, implies_by_refutation
+from razor.datalog import FactStore, head_binding
+from razor.deadline import DeadlineExceeded
+from razor.reference import implies_by_refutation
 from razor.logic import Literal, Rule, Var, captured, concrete_key, is_safe
 from razor.microtask import random_program, random_task
 from razor.oracle import _rule_stratum, enumerate_all
@@ -78,6 +81,77 @@ def test_semi_naive_equals_naive_on_random_programs():
         s1 = {(key, args) for key in m1._facts for args in m1.tuples(key)}
         s2 = {(key, args) for key in m2._facts for args in m2.tuples(key)}
         assert s1 == s2
+
+
+def test_least_model_checks_the_deadline_between_rounds():
+    # the closure of a 30-edge chain takes 30 rounds
+    chain = " ".join(f"e({i},{i + 1})." for i in range(30))
+    program = parse_rules(chain + " p(A,B) :- e(A,B). p(A,C) :- e(A,B), p(B,C).")
+    with pytest.raises(DeadlineExceeded):
+        least_model(program, deadline=time.perf_counter() - 1.0)
+    model = least_model(program)
+    assert {a.args for a in model.atoms() if a.pred == "p"} == \
+        {(Const(str(i)), Const(str(j))) for i in range(31) for j in range(i + 1, 31)}
+    base = least_model(parse_rules(chain))
+    with pytest.raises(DeadlineExceeded):
+        least_model(program[-2:], base=base, deadline=0.0)
+    assert _fact_set(least_model(program[-2:], base=base)) == _fact_set(model)
+
+
+_BK_PREDS = (("e", 2), ("t", 3), ("u", 1), ("z", 0))
+_H_PREDS = (("g", 2), ("k", 0))
+
+
+@st.composite
+def _bk_and_hypotheses(draw):
+    """A background program and a hypothesis over one to three constants.
+    The background has facts of every predicate (the hypothesis's head
+    predicates included) and rules over its own predicates; the
+    hypothesis's rules have heads g/2 or k/0 and bodies of one to three
+    literals over every predicate.  Arguments are drawn from the variables
+    A-D and the constants, so rules get constants in heads and bodies,
+    variables repeated inside one literal and literals sharing no
+    variable with the others; t/3 makes steps with two bound positions
+    and one free, z/0 and k/0 make steps with no position at all."""
+    consts = [Const(c) for c in "abc"[:draw(st.integers(1, 3))]]
+    variables = [Var(v) for v in "ABCD"]
+
+    def rule(heads, bodies):
+        body = []
+        for _ in range(draw(st.integers(1, 3))):
+            name, arity = draw(st.sampled_from(bodies))
+            terms = st.sampled_from(variables + consts)
+            body.append(Literal(name, tuple(draw(terms) for _ in range(arity))))
+        name, arity = draw(st.sampled_from(heads))
+        safe = sorted({t for b in body for t in b.args if isinstance(t, Var)}, key=str) + consts
+        return Rule(Literal(name, tuple(draw(st.sampled_from(safe)) for _ in range(arity))),
+                    frozenset(body))
+
+    bk = [Rule(Literal(name, combo), frozenset())
+          for name, arity in _BK_PREDS + _H_PREDS
+          for combo in product(consts, repeat=arity) if draw(st.integers(0, 2)) == 0]
+    bk += [rule(_BK_PREDS, _BK_PREDS) for _ in range(draw(st.integers(0, 2)))]
+    h = [rule(_H_PREDS, _BK_PREDS + _H_PREDS) for _ in range(draw(st.integers(1, 3)))]
+    return bk, h
+
+
+# the examples pin shapes the draws reach rarely: constant heads, a
+# ternary join with two bound positions, 0-ary literals, cross products,
+# repeated variables, and a checked lookup whose new variable is unused
+@settings(max_examples=300, deadline=None)
+@given(_bk_and_hypotheses())
+@example((parse_rules("e(a,b). e(b,c). e(c,c). t(a,b,c). t(b,c,a). t(c,c,c). u(a). z. g(c,a)."),
+          parse_rules("g(A,c) :- e(A,B), t(A,B,C), u(C). g(A,B) :- g(B,A), z. k :- t(A,A,A). "
+                      "g(a,B) :- u(B), e(C,C), k. g(A,B) :- g(A,C), t(C,b,B).")))
+@example((parse_rules("e(a,b). e(b,a). u(b). t(a,a,b). u(A) :- e(A,A). u(B) :- t(A,A,B)."),
+          parse_rules("g(A,B) :- u(A), u(B). g(A,A) :- g(A,B), g(B,a). k :- g(A,A), z.")))
+@example((parse_rules("e(a,c). e(b,c). t(a,c,c). t(b,b,a)."),
+          parse_rules("g(A,A) :- e(A,c), t(A,b,C).")))
+def test_semi_naive_equals_naive_and_extension_on_generated_programs(programs):
+    bk, h = programs
+    full = _fact_set(least_model([*bk, *h]))
+    assert full == _fact_set(least_model_naive([*bk, *h]))
+    assert _fact_set(least_model(h, base=least_model(bk))) == full
 
 
 # ---------------------------------------------------------------------------

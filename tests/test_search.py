@@ -14,6 +14,7 @@ from razor import (
     score,
     verify_audit,
 )
+from razor.deadline import DeadlineExceeded
 from razor.search import EXHAUSTED, PERFECT, TIMEOUT, build_cons, CoverageTester
 from razor.logic import hypothesis_size
 from razor.microtask import random_task
@@ -123,6 +124,40 @@ def test_learn_timeout_is_honoured_during_stratum_assembly(puzzle_task):
     assert elapsed < 0.05 + 0.2
 
 
+_CHAIN_TASK = (
+    "head_pred(p,2). body_pred(e,2). max_vars(3). max_body(2). max_rules(2). enable_recursion.",
+    " ".join(f"e({i},{i + 1})." for i in range(8)),
+    "pos(p(0,3)). pos(p(2,7)). pos(p(4,5)). neg(p(3,0)). neg(p(5,5)). neg(p(7,2)).",
+)
+
+
+def test_recursive_testing_checks_the_deadline():
+    task = parse_task_strings(*_CHAIN_TASK)
+    closure = parse_hypothesis("p(A,B) :- e(A,B). p(A,B) :- e(A,C), p(C,B).")
+    tester = CoverageTester(task.bk, task.pos, task.neg, deadline=0.0)
+    with pytest.raises(DeadlineExceeded):
+        tester.masks(closure)
+    # a non-recursive hypothesis runs no fixpoint
+    assert tester.masks(parse_hypothesis("p(A,B) :- e(A,B).")) == (0b100, 0)
+
+
+def test_learn_times_out_when_testing_passes_the_deadline(monkeypatch):
+    task = parse_task_strings(*_CHAIN_TASK)
+    assert learn(task).termination == PERFECT
+    real = CoverageTester.masks
+
+    def expiring(self, h):
+        if self._is_recursive(h):
+            self.deadline = 0.0
+        return real(self, h)
+
+    monkeypatch.setattr(CoverageTester, "masks", expiring)
+    result = learn(task)
+    assert result.termination == TIMEOUT
+    assert result.stats.tested > 0
+    assert result.best is not None and not CoverageTester._is_recursive(result.best)
+
+
 def test_learn_empty_hypothesis_is_the_baseline():
     # nothing in the space covers the positive example
     task = parse_task_strings(
@@ -139,7 +174,7 @@ def test_learn_empty_hypothesis_is_the_baseline():
 def test_learn_stats_are_consistent(intro_task):
     result = learn(intro_task, LearnConfig(pointless=DetectMode.BOTH))
     s = result.stats
-    assert s.tested <= s.generated
+    assert s.tested <= s.generated <= s.considered
     assert s.time_detection <= s.time_total
     assert s.time_testing <= s.time_total
     assert 0 < s.time_stratum <= s.time_total
