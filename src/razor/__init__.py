@@ -19,7 +19,6 @@ from .generate import (
     ConstraintKind,
     ConstraintStore,
     HypothesisGenerator,
-    violates,
 )
 from .logic import (
     Const,
@@ -34,7 +33,6 @@ from .logic import (
     hypothesis_size,
     is_basic,
     renamed_subrule,
-    sub_hypothesis,
     subrule,
 )
 from .oracle import OracleCeilingError, enumerate_all, oracle_optimal
@@ -43,11 +41,17 @@ from .pointless import (
     PointlessEvidence,
     PointlessKind,
     find_pointless,
-    is_indiscriminate,
     is_indiscriminate_direct,
     is_reducible,
 )
-from .reference import Coverage, coverage, least_model_naive
+from .reference import (
+    Coverage,
+    coverage,
+    is_indiscriminate,
+    least_model_naive,
+    sub_hypothesis,
+    violates,
+)
 from .search import (
     CostScore,
     LearnConfig,

@@ -6,23 +6,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .logic import Hypothesis
 from .pointless import DetectMode
-from .search import CoverageTester, LearnConfig, LearnResult, learn
+from .search import CoverageTester, LearnConfig, LearnResult, Stats, learn
 from .taskio import Task, parse_task, render_hypothesis
-
-SCHEMA_VERSION = 2
-
-CONFIG_ORDER = [
-    DetectMode.OFF,
-    DetectMode.REDUCIBLE_ONLY,
-    DetectMode.INDISCRIMINATE_ONLY,
-    DetectMode.BOTH,
-]
 
 CSV_COLUMNS = [
     "schema_version", "task", "pointless", "noisy", "repeat", "max_size",
@@ -57,136 +47,67 @@ def hypothesis_accuracy(task: Task, h: Hypothesis) -> tuple[float, str]:
     return balanced_accuracy(tp, len(pos) - tp, len(neg) - fp, fp), which
 
 
-@dataclass
-class BenchRecord:
-    task: str
-    pointless: str
-    noisy: bool
-    repeat: int
-    max_size: Optional[int]
-    timeout: Optional[float]
-    seed: Optional[int]
-    best_errors: int
-    best_size: int
-    termination: str
-    balanced_accuracy: float
-    accuracy_on: str
-    time_total: float
-    time_detection: float
-    time_testing: float
-    overhead_fraction: float
-    generated: int
-    tested: int
-    nodes_explored: int
-    constraints: dict = field(default_factory=dict)
-    evidence: dict = field(default_factory=dict)
-    hypothesis: str = ""
-    error: str = ""
-    schema_version: int = SCHEMA_VERSION
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "task": self.task,
-            "config": {
-                "pointless": self.pointless,
-                "noisy": self.noisy,
-                "repeat": self.repeat,
-                "max_size": self.max_size,
-                "timeout": self.timeout,
-                "seed": self.seed,
-            },
-            "best_errors": self.best_errors,
-            "best_size": self.best_size,
-            "termination": self.termination,
-            "balanced_accuracy": self.balanced_accuracy,
-            "accuracy_on": self.accuracy_on,
-            "time_total": self.time_total,
-            "time_detection": self.time_detection,
-            "time_testing": self.time_testing,
-            "overhead_fraction": self.overhead_fraction,
-            "generated": self.generated,
-            "tested": self.tested,
-            "nodes_explored": self.nodes_explored,
-            "constraints": dict(self.constraints),
-            "evidence": dict(self.evidence),
-            "hypothesis": self.hypothesis,
-            "error": self.error,
-        }
-
-    def to_row(self) -> dict:
-        d = self.to_dict()
-        cons = d.pop("constraints")
-        ev = d.pop("evidence")
-        cfg = d.pop("config")
-        d.update({f"{k}": v for k, v in cfg.items()})
-        d["constraints_specialisation"] = cons.get("specialisation", 0)
-        d["constraints_generalisation"] = cons.get("generalisation", 0)
-        d["constraints_pointless"] = cons.get("pointless-super-rule", 0)
-        d["evidence_reducible"] = ev.get("reducible", 0)
-        d["evidence_indiscriminate"] = ev.get("indiscriminate", 0)
-        return {col: d.get(col, "") for col in CSV_COLUMNS}
-
-
-def record_from_result(task: Task, mode: DetectMode, repeat: int,
-                       config: LearnConfig, result: LearnResult) -> BenchRecord:
-    best: Hypothesis = result.best if result.best is not None else frozenset()
+def run_record(task_name: str, config: LearnConfig, result: LearnResult) -> dict:
+    """The record of one learn run, as `razor learn --stats` writes it.
+    The score and hypothesis are None when the run ended before testing
+    anything; every counter and timing lives under `stats`."""
     score = result.best_score
-    if score is None:
-        tester = CoverageTester(task.bk, task.pos, task.neg)
-        score = tester.score(best)
-    acc, which = hypothesis_accuracy(task, best)
-    stats = result.stats
-    overhead = stats.time_detection / stats.time_total if stats.time_total else 0.0
-    return BenchRecord(
-        task=task.name,
-        pointless=mode.value,
-        noisy=config.noisy,
-        repeat=repeat,
-        max_size=config.max_size,
-        timeout=config.timeout,
-        seed=config.seed,
-        best_errors=score.errors,
-        best_size=score.literals,
-        termination=result.termination,
-        balanced_accuracy=acc,
-        accuracy_on=which,
-        time_total=stats.time_total,
-        time_detection=stats.time_detection,
-        time_testing=stats.time_testing,
-        overhead_fraction=overhead,
-        generated=stats.generated,
-        tested=stats.tested,
-        nodes_explored=stats.nodes_explored,
-        constraints=stats.constraints,
-        evidence=stats.evidence,
-        hypothesis=render_hypothesis(best),
-    )
+    return {
+        "schema_version": 3,
+        "task": task_name,
+        "config": {
+            "max_size": config.max_size,
+            "timeout": config.timeout,
+            "pointless": config.pointless.value,
+            "noisy": config.noisy,
+            "audit": config.audit,
+            "seed": config.seed,
+        },
+        "termination": result.termination,
+        "best_errors": score.errors if score else None,
+        "best_size": score.literals if score else None,
+        "hypothesis": render_hypothesis(result.best) if result.best is not None else None,
+        "stats": result.stats.to_dict(),
+    }
+
+
+def _bench_record(task_name: str, config: LearnConfig, repeat: int,
+                  result: LearnResult, accuracy: tuple, error: Optional[str]) -> dict:
+    record = run_record(task_name, config, result)
+    record["config"]["repeat"] = repeat
+    record["balanced_accuracy"], record["accuracy_on"] = accuracy
+    record["error"] = error
+    return record
 
 
 def run_task(task: Task, repeats: int = 1, timeout: Optional[float] = None,
              max_size: Optional[int] = None, noisy: bool = False,
-             seed: Optional[int] = None) -> list[BenchRecord]:
-    """One record per (configuration, repeat).  Evidence collection is
-    exhaustive so that the constraint set of `both` contains each single
-    ablation's and the generated-candidate counts nest monotonically."""
+             seed: Optional[int] = None) -> list[dict]:
+    """One record per (configuration, repeat): the run record plus the
+    repeat and the balanced accuracy of the best hypothesis.  Evidence
+    collection is exhaustive so that the constraint set of `both` contains
+    each single ablation's and the generated-candidate counts nest
+    monotonically."""
     records = []
-    for mode in CONFIG_ORDER:
+    for mode in DetectMode:
         for repeat in range(repeats):
             config = LearnConfig(max_size=max_size, timeout=timeout,
                                  pointless=mode, noisy=noisy, seed=seed,
                                  exhaustive_evidence=True)
             result = learn(task, config)
-            records.append(record_from_result(task, mode, repeat, config, result))
+            accuracy = (hypothesis_accuracy(task, result.best)
+                        if result.best is not None else (None, None))
+            records.append(_bench_record(task.name, config, repeat, result, accuracy, None))
     return records
 
 
 def run_suite(suite_dir, repeats: int = 1, timeout: Optional[float] = None,
-              noisy: bool = False) -> list[BenchRecord]:
+              noisy: bool = False) -> list[dict]:
     """Run the four configurations on every task directory of the suite.
-    Per-task failures become error records; the suite continues."""
+    A task that fails gives one record with termination `error` and the
+    message in `error`; the suite continues."""
     suite = Path(suite_dir)
-    records: list[BenchRecord] = []
+    records: list[dict] = []
     task_dirs = sorted(
         d for d in suite.iterdir()
         if d.is_dir() and (d / "bias.pl").is_file()
@@ -196,27 +117,37 @@ def run_suite(suite_dir, repeats: int = 1, timeout: Optional[float] = None,
             task = parse_task(d)
             records.extend(run_task(task, repeats=repeats, timeout=timeout, noisy=noisy))
         except Exception as exc:  # record and continue
-            records.append(BenchRecord(
-                task=d.name, pointless="", noisy=noisy, repeat=0,
-                max_size=None, timeout=timeout, seed=None,
-                best_errors=-1, best_size=-1, termination="error",
-                balanced_accuracy=0.0, accuracy_on="", time_total=0.0,
-                time_detection=0.0, time_testing=0.0, overhead_fraction=0.0,
-                generated=0, tested=0, nodes_explored=0,
-                error=str(exc),
-            ))
+            failed = LearnResult(None, None, "error", Stats())
+            record = _bench_record(d.name, LearnConfig(timeout=timeout, noisy=noisy),
+                                   0, failed, (None, None), str(exc))
+            record["config"]["pointless"] = None  # no configuration ran
+            records.append(record)
     return records
 
 
-def write_json(records: Sequence[BenchRecord], path) -> None:
-    Path(path).write_text(
-        json.dumps([r.to_dict() for r in records], indent=2) + "\n"
-    )
+def csv_row(record: dict) -> dict:
+    """A bench record flattened to CSV_COLUMNS."""
+    stats = record["stats"]
+    cons = stats["constraints"]
+    ev = stats["evidence"]
+    flat = {
+        **record, **record["config"], **stats,
+        "constraints_specialisation": cons.get("specialisation", 0),
+        "constraints_generalisation": cons.get("generalisation", 0),
+        "constraints_pointless": cons.get("pointless-super-rule", 0),
+        "evidence_reducible": ev.get("reducible", 0),
+        "evidence_indiscriminate": ev.get("indiscriminate", 0),
+    }
+    return {col: flat[col] for col in CSV_COLUMNS}
 
 
-def write_csv(records: Sequence[BenchRecord], path) -> None:
+def write_json(records: Sequence[dict], path) -> None:
+    Path(path).write_text(json.dumps(list(records), indent=2) + "\n")
+
+
+def write_csv(records: Sequence[dict], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for r in records:
-            writer.writerow(r.to_row())
+            writer.writerow(csv_row(r))

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import SCHEMA_VERSION, run_suite, write_csv, write_json
+from .bench import run_record, run_suite, write_csv, write_json
 from .oracle import DEFAULT_CEILING, OracleCeilingError, oracle_optimal
 from .pointless import DetectMode, find_pointless
 from .search import CoverageTester, LearnConfig, TIMEOUT, learn, verify_audit
@@ -59,7 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="collect every pointless literal per tested hypothesis")
     p_learn.add_argument("--stats", type=Path, default=None, help="write a JSON stats record")
     p_learn.add_argument("--seed", type=int, default=None,
-                         help="recorded in stats; the search itself is deterministic")
+                         help="recorded as config.seed in the stats record; "
+                              "the search itself is deterministic")
 
     p_check = sub.add_parser("check", help="report pointless rules in a ruleset")
     p_check.add_argument("task", help="task directory providing BK and examples")
@@ -94,23 +95,7 @@ def _cmd_learn(args) -> int:
     result = learn(task, config)
 
     if args.stats is not None:
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "task": task.name,
-            "config": {
-                "max_size": config.max_size,
-                "timeout": config.timeout,
-                "pointless": config.pointless.value,
-                "noisy": config.noisy,
-                "audit": config.audit,
-                "seed": config.seed,
-            },
-            "termination": result.termination,
-            "best_errors": result.best_score.errors if result.best_score else None,
-            "best_size": result.best_score.literals if result.best_score else None,
-            "hypothesis": render_hypothesis(result.best) if result.best is not None else None,
-            "stats": result.stats.to_dict(),
-        }
+        record = run_record(task.name, config, result)
         args.stats.write_text(json.dumps(record, indent=2) + "\n")
 
     if result.best is None:
@@ -178,14 +163,16 @@ def _cmd_bench(args) -> int:
     if args.csv is not None:
         write_csv(records, args.csv)
     for r in records:
-        if r.error:
-            print(f"{r.task}: ERROR {r.error}", file=sys.stderr)
-        else:
-            print(
-                f"{r.task} [{r.pointless}] errors={r.best_errors} "
-                f"size={r.best_size} generated={r.generated} "
-                f"overhead={r.overhead_fraction:.3f} accuracy={r.balanced_accuracy:.3f}"
-            )
+        if r["error"]:
+            print(f"{r['task']}: ERROR {r['error']}", file=sys.stderr)
+            continue
+        acc = r["balanced_accuracy"]
+        print(
+            f"{r['task']} [{r['config']['pointless']}] errors={r['best_errors']} "
+            f"size={r['best_size']} generated={r['stats']['generated']} "
+            f"overhead={r['stats']['overhead_fraction']:.3f} "
+            f"accuracy={'n/a' if acc is None else format(acc, '.3f')}"
+        )
     print(f"wrote {len(records)} records to {args.out}")
     return EXIT_OK
 

@@ -162,42 +162,6 @@ def _pointless_match(c: Constraint, r: Rule) -> Optional[tuple[Rule, Literal, Ru
     return None
 
 
-def pointless_violation(h: Hypothesis, c: Constraint) -> Optional[tuple[Rule, Literal, Rule]]:
-    for r in hypothesis_sorted(h):
-        if not is_basic(r, h):
-            continue
-        m = _pointless_match(c, r)
-        if m is not None:
-            return m
-    return None
-
-
-def violates(h: Hypothesis, c: Constraint) -> bool:
-    """Whether the (canonical) hypothesis h is excluded by the constraint.
-
-    - Specialisation(h0): every rule of h specialises some rule of h0, so
-      h covers no more than h0 and misses whatever h0 missed.
-    - Generalisation(h0): every rule of h0 has a generalisation in h, so h
-      covers at least what h0 covered, false positives included.
-    - PointlessSuperRule(evidence): some basic rule of h contains a renamed
-      image of the pointless rule and stays in the search space once the
-      redundant literal is dropped.
-    """
-    if c.kind is ConstraintKind.SPECIALISATION:
-        assert c.hypothesis is not None
-        return all(
-            any(renamed_subrule(r0, r) for r0 in c.hypothesis) for r in h
-        )
-    if c.kind is ConstraintKind.GENERALISATION:
-        assert c.hypothesis is not None
-        return all(
-            any(renamed_subrule(r, r0) for r in h) for r0 in c.hypothesis
-        )
-    if c.kind is ConstraintKind.POINTLESS_SUPER_RULE:
-        return pointless_violation(h, c) is not None
-    raise ValueError(f"unknown constraint kind {c.kind!r}")
-
-
 class _RuleHits:
     """Memoized record of which constraints a single rule triggers; refreshed
     lazily when the store has grown."""

@@ -1,6 +1,6 @@
 """Function-free first-order terms, literals, rules and the structural
-relations the learner is built on: subrule, sub-hypothesis, basic rules,
-captured literals, connectedness and canonical forms."""
+relations the learner is built on: subrule, basic rules, captured
+literals, connectedness and canonical forms."""
 
 from __future__ import annotations
 
@@ -126,11 +126,6 @@ def subrule(r1: Rule, r2: Rule) -> bool:
     """r1 is a subrule of r2: identical head and body(r1) is a subset of
     body(r2).  No variable renaming is involved."""
     return r1.head == r2.head and r1.body <= r2.body
-
-
-def sub_hypothesis(h1: Hypothesis, h2: Hypothesis) -> bool:
-    """Every rule of h1 has a super-rule in h2."""
-    return all(any(subrule(r1, r2) for r2 in h2) for r1 in h1)
 
 
 def is_basic(rule: Rule, h: Hypothesis) -> bool:

@@ -8,7 +8,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .datalog import FactStore, covers_rule, head_binding, implies
+from .datalog import FactStore, head_binding, implies
 from .logic import (
     Const,
     Hypothesis,
@@ -64,17 +64,6 @@ def is_reducible(store: FactStore, rule: Rule, lit: Literal,
                  domain: Sequence[Const]) -> bool:
     """The rest of the body implies lit over the background knowledge."""
     return implies(store, rule.body - {lit}, lit, domain)
-
-
-def is_indiscriminate(store: FactStore, neg: Iterable[Literal],
-                      rule: Rule, lit: Literal) -> bool:
-    """Coverage-equality test: removing lit covers exactly the same
-    negative examples.  Vacuously true when neg is empty."""
-    reduced = reduce_rule(rule, lit)
-    for e in neg:
-        if covers_rule(store, reduced, e) and not covers_rule(store, rule, e):
-            return False
-    return True
 
 
 def is_indiscriminate_direct(store: FactStore, neg: Iterable[Literal],

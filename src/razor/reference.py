@@ -1,15 +1,21 @@
 """Slow reference implementations kept apart from the hot path: the
-naive least model, whole-model coverage and refutation-first
-implication.  The tests check the fast queries of ``razor.datalog``
-against them."""
+naive least model, whole-model coverage, refutation-first implication,
+the coverage-equality indiscriminate test, the per-constraint violation
+test and sub-hypothesis.  The tests check the fast queries of
+``razor.datalog``, the ``ConstraintStore`` index and the detector against
+them; nothing on the learner's path imports this module."""
 
 from __future__ import annotations
 
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .datalog import Fact, FactStore, PredKey, _check_safe, least_model, satisfying_substitutions
-from .logic import Const, Literal, Rule, Substitution, apply_subst
+from .datalog import (Fact, FactStore, PredKey, _check_safe, covers_rule, least_model,
+                      satisfying_substitutions)
+from .generate import Constraint, ConstraintKind, _pointless_match
+from .logic import (Const, Hypothesis, Literal, Rule, Substitution, apply_subst, is_basic,
+                    renamed_subrule, subrule)
+from .pointless import reduce_rule
 
 
 def least_model_naive(program: Iterable[Rule]) -> FactStore:
@@ -57,8 +63,6 @@ def least_model_naive(program: Iterable[Rule]) -> FactStore:
     return store
 
 
-
-
 class Coverage:
     """Classification of the examples under a hypothesis."""
 
@@ -88,8 +92,6 @@ def coverage(bk: Iterable[Rule], h: Iterable[Rule],
     return Coverage(covered_pos, covered_neg, pos, neg)
 
 
-
-
 def implies_by_refutation(
     store: FactStore,
     body: Iterable[Literal],
@@ -110,3 +112,45 @@ def implies_by_refutation(
                 next(satisfying_substitutions(store, body, binding), None) is not None:
             return False
     return True
+
+
+def sub_hypothesis(h1: Hypothesis, h2: Hypothesis) -> bool:
+    """Every rule of h1 has a super-rule in h2."""
+    return all(any(subrule(r1, r2) for r2 in h2) for r1 in h1)
+
+
+def is_indiscriminate(store: FactStore, neg: Iterable[Literal],
+                      rule: Rule, lit: Literal) -> bool:
+    """Coverage-equality test: removing lit covers exactly the same
+    negative examples.  Vacuously true when neg is empty."""
+    reduced = reduce_rule(rule, lit)
+    for e in neg:
+        if covers_rule(store, reduced, e) and not covers_rule(store, rule, e):
+            return False
+    return True
+
+
+def violates(h: Hypothesis, c: Constraint) -> bool:
+    """Whether the (canonical) hypothesis h is excluded by the constraint.
+
+    - Specialisation(h0): every rule of h specialises some rule of h0, so
+      h covers no more than h0 and misses whatever h0 missed.
+    - Generalisation(h0): every rule of h0 has a generalisation in h, so h
+      covers at least what h0 covered, false positives included.
+    - PointlessSuperRule(evidence): some basic rule of h contains a renamed
+      image of the pointless rule and stays in the search space once the
+      redundant literal is dropped.
+    """
+    if c.kind is ConstraintKind.SPECIALISATION:
+        assert c.hypothesis is not None
+        return all(
+            any(renamed_subrule(r0, r) for r0 in c.hypothesis) for r in h
+        )
+    if c.kind is ConstraintKind.GENERALISATION:
+        assert c.hypothesis is not None
+        return all(
+            any(renamed_subrule(r, r0) for r in h) for r0 in c.hypothesis
+        )
+    if c.kind is ConstraintKind.POINTLESS_SUPER_RULE:
+        return any(is_basic(r, h) and _pointless_match(c, r) is not None for r in h)
+    raise ValueError(f"unknown constraint kind {c.kind!r}")

@@ -49,7 +49,7 @@ class LearnConfig:
     exhaustive_evidence: bool = False
     audit: bool = False
     noisy: bool = False
-    seed: Optional[int] = None  # recorded in stats; the search is deterministic
+    seed: Optional[int] = None  # recorded in the run record; the search is deterministic
 
 
 @dataclass
@@ -65,10 +65,13 @@ class Stats:
     time_detection: float = 0.0
     time_testing: float = 0.0
     time_stratum: float = 0.0  # rule-stratum assembly in the generator
-    seed: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields plus `overhead_fraction`, detection time over total
+        time (0.0 when the total is 0)."""
+        d = asdict(self)
+        d["overhead_fraction"] = self.time_detection / self.time_total if self.time_total else 0.0
+        return d
 
 
 @dataclass
@@ -88,8 +91,9 @@ class CoverageTester:
 
     Non-recursive hypotheses are tested by OR-ing cached per-rule coverage
     bitmasks over the background model; recursive ones extend the cached
-    background model with the fixpoint of the hypothesis's rules, which
-    raises DeadlineExceeded past the deadline (a time.perf_counter value).
+    background model with the fixpoint of the hypothesis's rules.  Building
+    the background model and extending it raise DeadlineExceeded past the
+    deadline (a time.perf_counter value).
     """
 
     def __init__(self, bk: Sequence[Rule], pos: Sequence[Literal], neg: Sequence[Literal],
@@ -98,7 +102,7 @@ class CoverageTester:
         self.pos = list(pos)
         self.neg = list(neg)
         self.deadline = deadline
-        self.model = least_model(self.bk)
+        self.model = least_model(self.bk, deadline=deadline)
         self.base_pos = self._mask(self.pos, self.model)
         self.base_neg = self._mask(self.neg, self.model)
         self._rule_cache: dict[Rule, tuple[int, int]] = {}
@@ -177,11 +181,10 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
 
     t_start = time.perf_counter()
     deadline = t_start + config.timeout if config.timeout is not None else None
-    stats = Stats(seed=config.seed)
+    stats = Stats()
 
     store = ConstraintStore()
     gen = HypothesisGenerator(bias, store, audit=config.audit, deadline=deadline)
-    tester = CoverageTester(task.bk, task.pos, task.neg, deadline)
     neg = list(task.neg)
     domain = list(task.constant_domain)
 
@@ -203,6 +206,12 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
                                evidence_log, gen.audit_records)
         return LearnResult(best, best_score, termination, stats,
                            evidence_log, gen.audit_records)
+
+    try:
+        tester = CoverageTester(task.bk, task.pos, task.neg, deadline)
+    except DeadlineExceeded:
+        termination = TIMEOUT
+        return finish()
 
     for size in range(2, max_size + 1):
         while True:

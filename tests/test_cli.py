@@ -29,10 +29,10 @@ def test_learn_writes_versioned_stats(capsys, fixtures_dir, tmp_path):
                          "--stats", str(stats), "--seed", "7", capsys=capsys)
     assert code == 0
     record = json.loads(stats.read_text())
-    assert record["schema_version"] == 2
+    assert record["schema_version"] == 3
     assert "banish" not in record["stats"]["constraints"]
     assert record["best_errors"] == 0
-    assert record["stats"]["seed"] == 7
+    assert record["config"]["seed"] == 7
     for field in ("generated", "considered", "tested", "time_total", "time_detection",
                   "time_testing", "time_stratum", "constraints", "evidence",
                   "detect_subsumed"):

@@ -15,10 +15,10 @@ from razor import (
     find_pointless,
     least_model,
     parse_task,
-    violates,
 )
 from razor import generate
 from razor.generate import DeadlineExceeded
+from razor.reference import violates
 from razor.logic import (
     Rule,
     canonicalize,

@@ -13,10 +13,10 @@ from razor import (
     connected,
     is_basic,
     renamed_subrule,
-    sub_hypothesis,
     subrule,
 )
 from razor.logic import hypothesis_key, in_search_space, iter_renamings, rename_literal
+from razor.reference import sub_hypothesis
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,13 @@ from razor import (
     DetectMode,
     PointlessKind,
     find_pointless,
-    is_indiscriminate,
     is_indiscriminate_direct,
     is_reducible,
     least_model,
     subrule,
 )
 from razor.logic import Rule, canonicalize, captured
+from razor.reference import is_indiscriminate
 
 
 def _detect(task, h, mode=DetectMode.BOTH, exhaustive=False):

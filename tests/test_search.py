@@ -15,6 +15,7 @@ from razor import (
     verify_audit,
 )
 from razor.deadline import DeadlineExceeded
+from razor.generate import HypothesisGenerator
 from razor.search import EXHAUSTED, PERFECT, TIMEOUT, build_cons, CoverageTester
 from razor.logic import hypothesis_size
 from razor.microtask import random_task
@@ -156,6 +157,29 @@ def test_learn_times_out_when_testing_passes_the_deadline(monkeypatch):
     assert result.termination == TIMEOUT
     assert result.stats.tested > 0
     assert result.best is not None and not CoverageTester._is_recursive(result.best)
+
+
+_CLOSURE_BK_TASK = (
+    "head_pred(p,2). body_pred(reach,2). max_vars(2). max_body(1). max_rules(1).",
+    " ".join(f"e({i},{i + 1})." for i in range(8))
+    + " reach(A,B) :- e(A,B). reach(A,B) :- e(A,C), reach(C,B).",
+    "pos(p(0,3)). neg(p(3,0)).",
+)
+
+
+def test_learn_times_out_while_building_the_bk_model(monkeypatch):
+    task = parse_task_strings(*_CLOSURE_BK_TASK)
+    with pytest.raises(DeadlineExceeded):
+        CoverageTester(task.bk, task.pos, task.neg, deadline=0.0)
+
+    def unreachable(self, size):
+        raise AssertionError("the generator ran after the BK model timed out")
+
+    monkeypatch.setattr(HypothesisGenerator, "next_hypothesis", unreachable)
+    result = learn(task, LearnConfig(timeout=0.0))
+    assert result.termination == TIMEOUT
+    assert result.best is None and result.best_score is None
+    assert result.stats.tested == 0
 
 
 def test_learn_empty_hypothesis_is_the_baseline():
