@@ -61,6 +61,7 @@ def run_record(task_name: str, config: LearnConfig, result: LearnResult) -> dict
             "pointless": config.pointless.value,
             "noisy": config.noisy,
             "audit": config.audit,
+            "exhaustive_evidence": config.exhaustive_evidence,
             "seed": config.seed,
         },
         "termination": result.termination,
@@ -118,8 +119,8 @@ def run_suite(suite_dir, repeats: int = 1, timeout: Optional[float] = None,
             records.extend(run_task(task, repeats=repeats, timeout=timeout, noisy=noisy))
         except Exception as exc:  # record and continue
             failed = LearnResult(None, None, "error", Stats())
-            record = _bench_record(d.name, LearnConfig(timeout=timeout, noisy=noisy),
-                                   0, failed, (None, None), str(exc))
+            config = LearnConfig(timeout=timeout, noisy=noisy, exhaustive_evidence=True)
+            record = _bench_record(d.name, config, 0, failed, (None, None), str(exc))
             record["config"]["pointless"] = None  # no configuration ran
             records.append(record)
     return records

@@ -8,7 +8,10 @@ engines run on them:
   (``covers_rule``, ``implies``, ``satisfying_substitutions``): it works
   tuple at a time on a binding list indexed by slot, picks the smallest
   index bucket per binding and stops at the first solution its caller
-  wants.
+  wants.  Each query plans its rule or body once: ``covers_rule`` takes a
+  rule's whole list of examples and runs one join per example, and
+  ``implies`` runs one join of the body and one bucket check per
+  distinct body solution, never one check per domain value.
 - The fixpoint rounds of ``least_model`` run set at a time: each rule
   body, once per body position a delta can feed, is compiled into a
   pipeline of steps with a static join order, and every step joins a
@@ -18,7 +21,6 @@ engines run on them:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence, Union
 
@@ -591,19 +593,24 @@ def head_binding(rule: Rule, example: Literal) -> Optional[Substitution]:
     return theta
 
 
-def covers_rule(store: FactStore, rule: Rule, example: Literal) -> bool:
-    """Whether the single rule, evaluated against the given model of the
-    background knowledge, entails the ground example.  Head variables
-    missing from the body are simply left bound by the example."""
-    if rule.head.pred_key != example.pred_key:
-        raise ValueError(
-            f"example {example!r} does not match head {rule.head!r}"
-        )
+def covers_rule(store: FactStore, rule: Rule, examples: Sequence[Literal]) -> int:
+    """The bitmask of the ground examples (bit i for examples[i]) that the
+    single rule, evaluated against the given model of the background
+    knowledge, entails.  The rule is planned once; each example then costs
+    one join that stops at its first solution.  Head variables missing
+    from the body are simply left bound by the example."""
+    key = rule.head.pred_key
     plan = _plan(rule.body, rule.head)
-    b: Binding = [None] * len(plan.names)
-    if not _match(plan.head[1], tuple(t.name for t in example.args), b):  # type: ignore[index]
-        return False
-    return next(_solve(store, plan.body, b), None) is not None
+    head, body, width = plan.head[1], plan.body, len(plan.names)  # type: ignore[index]
+    mask = 0
+    for i, e in enumerate(examples):
+        if e.pred_key != key:
+            raise ValueError(f"example {e!r} does not match head {rule.head!r}")
+        b: Binding = [None] * width
+        if _match(head, tuple([t.name for t in e.args]), b) and \
+                next(_solve(store, body, b), None) is not None:
+            mask |= 1 << i
+    return mask
 
 
 def _component(lits: Sequence[CompiledLiteral], slots: set[int],
@@ -629,6 +636,28 @@ def _component(lits: Sequence[CompiledLiteral], slots: set[int],
     return relevant
 
 
+def _holds_every_grounding(store: FactStore, key: PredKey, pat: tuple,
+                           lone_at: Sequence[int], repeats: list[tuple[int, int]],
+                           names: set[str], need: int) -> bool:
+    """Whether the facts matching the pattern (None at the positions of
+    the lone variables) hold every grounding of the lone variables over
+    the domain names, i.e. their in-domain projections onto the lone
+    variables' first positions number need = |names|^k.  Facts must also
+    agree at the repeats of a lone variable."""
+    bucket, pos = store._bucket(key, pat)
+    if len(bucket) < need:
+        return False
+    checks = [(j, v) for j, v in enumerate(pat) if v is not None and j != pos]
+    facts = _filter(bucket, checks, repeats) if checks or repeats else bucket
+    if len(facts) < need:
+        return False
+    if len(lone_at) == 1:
+        (j,) = lone_at
+        return len(names.intersection([f[j] for f in facts])) == need
+    get = itemgetter(*lone_at)
+    return len({p for p in map(get, facts) if names.issuperset(p)}) == need
+
+
 def implies(
     store: FactStore,
     body: Iterable[Literal],
@@ -636,38 +665,72 @@ def implies(
     domain: Sequence[Const],
     seed: Optional[Substitution] = None,
 ) -> bool:
-    """Whether every grounding that satisfies the body also satisfies lit.
-
-    Variables of lit absent from the body (and from the seed) range over
-    the given constant domain, which must cover the constants the store's
-    facts are built from (a task's constant domain always does).
+    """Whether every grounding of lit's free variables (those not bound by
+    the seed) over the given constant domain that satisfies the body also
+    satisfies lit.  Body variables absent from lit range over the store.
 
     1. Vacuity: one satisfiability check of the whole body under the seed;
        an unsatisfiable body implies anything.
-    2. Body-first, when every free variable of lit occurs in the body:
-       enumerate the solutions of the body literals that share a chain of
-       free variables with lit, and look lit up under each.
-    3. Refutation-first otherwise: enumerate the groundings of lit's free
-       variables over the domain that falsify lit, and ask whether those
-       body literals are satisfiable under any of them.
+    2. Body-first: enumerate the solutions of the body literals that share
+       a chain of free variables with lit, skipping those that bind a
+       variable of lit outside the domain.
+    3. Under each distinct solution, lit's lone variables (free variables
+       in no body literal) must take every grounding over the domain: one
+       index bucket must hold |domain|^k facts with distinct in-domain
+       projections onto the k lone variables.  Without a lone variable
+       this is one membership test.
 
     The body literals sharing no variable chain with lit are satisfiable
-    once step 1 passes, so they are never joined again.
+    once step 1 passes, so they are never joined again.  No step ranges a
+    variable over the domain, so no query pays |domain| satisfiability
+    checks.
     """
     plan = _plan(frozenset(body), lit)
     b = plan.binding(seed)
     if not _satisfiable(store, plan.body, b):
         return True
     key, args = plan.head  # type: ignore[misc]
-    facts = store.tuples(key)
     free = {a for a in args if a.__class__ is int and b[a] is None}
     relevant = _component(plan.body, free, b)
-    if free <= {a for _, rel_args in relevant for a in rel_args}:
-        return all(_ground(args, sol) in facts for sol in _solve(store, relevant, b))
-    order = sorted(free)
-    for combo in product([c.name for c in domain], repeat=len(order)):
-        for s, val in zip(order, combo):
-            b[s] = val
-        if _ground(args, b) not in facts and _satisfiable(store, relevant, b):
-            return False
-    return True
+    shared = free.intersection([a for _, rel_args in relevant for a in rel_args])
+    lone_first: dict[int, int] = {}
+    repeats: list[tuple[int, int]] = []
+    for j, a in enumerate(args):
+        if a in free and a not in shared:
+            if a in lone_first:
+                repeats.append((j, lone_first[a]))  # type: ignore[index]
+            else:
+                lone_first[a] = j  # type: ignore[index]
+    solutions = _solve(store, relevant, b)
+    if lone_first:
+        names = {c.name for c in domain}
+        lone_at = list(lone_first.values())
+        need = len(names) ** len(lone_at)
+        seen: set[tuple] = set()
+
+        def refutes(sol: Binding) -> bool:
+            pat = _ground(args, sol)
+            if pat in seen:
+                return False
+            seen.add(pat)
+            return not _holds_every_grounding(store, key, pat, lone_at, repeats, names, need)
+
+        refuting = filter(refutes, solutions)
+    else:
+        facts = store.tuples(key)
+        refuting = (sol for sol in solutions if _ground(args, sol) not in facts)
+    if shared:
+        refuting = _in_domain(refuting, shared, domain)
+    return next(refuting, None) is None
+
+
+def _in_domain(solutions: Iterable[Binding], slots: set[int],
+               domain: Sequence[Const]) -> Iterator[Binding]:
+    """The solutions binding every given slot to a constant of the domain,
+    whose names are collected only once a solution arrives."""
+    names: Optional[set[str]] = None
+    for sol in solutions:
+        if names is None:
+            names = {c.name for c in domain}
+        if all(sol[s] in names for s in slots):
+            yield sol

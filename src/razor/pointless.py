@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .datalog import FactStore, head_binding, implies
+from .deadline import check_deadline
 from .logic import (
     Const,
     Hypothesis,
@@ -68,16 +69,19 @@ def is_reducible(store: FactStore, rule: Rule, lit: Literal,
 
 def is_indiscriminate_direct(store: FactStore, neg: Iterable[Literal],
                              rule: Rule, lit: Literal,
-                             domain: Sequence[Const]) -> bool:
+                             domain: Sequence[Const],
+                             deadline: Optional[float] = None) -> bool:
     """Per-negative implication test: for every negative example, every
     grounding that satisfies the rest of the body under the example's head
     binding also satisfies lit.  Strictly stronger than the
-    coverage-equality test and the one that licenses pruning."""
+    coverage-equality test and the one that licenses pruning.  Raises
+    DeadlineExceeded past the deadline, checked before each example."""
     body = rule.body - {lit}
     for e in neg:
         theta = head_binding(rule, e)
         if theta is None:
             continue
+        check_deadline(deadline)
         if not implies(store, body, lit, domain, seed=theta):
             return False
     return True
@@ -85,11 +89,12 @@ def is_indiscriminate_direct(store: FactStore, neg: Iterable[Literal],
 
 def check_literal(store: FactStore, rule: Rule, lit: Literal,
                   neg: Sequence[Literal], domain: Sequence[Const],
-                  mode: DetectMode = DetectMode.BOTH) -> Optional[PointlessEvidence]:
+                  mode: DetectMode = DetectMode.BOTH,
+                  deadline: Optional[float] = None) -> Optional[PointlessEvidence]:
     """Classify one captured body literal; reducible is tried first."""
     if mode.reducible and is_reducible(store, rule, lit, domain):
         return PointlessEvidence(rule, lit, PointlessKind.REDUCIBLE, reduce_rule(rule, lit))
-    if mode.indiscriminate and is_indiscriminate_direct(store, neg, rule, lit, domain):
+    if mode.indiscriminate and is_indiscriminate_direct(store, neg, rule, lit, domain, deadline):
         return PointlessEvidence(
             rule, lit, PointlessKind.INDISCRIMINATE, reduce_rule(rule, lit),
             vacuous=not neg,
@@ -104,6 +109,7 @@ def find_pointless(
     domain: Sequence[Const],
     mode: DetectMode = DetectMode.BOTH,
     exhaustive: bool = False,
+    deadline: Optional[float] = None,
 ) -> list[PointlessEvidence]:
     """Scan a hypothesis for pointless rules.
 
@@ -111,7 +117,10 @@ def find_pointless(
     considered.  For each captured body literal the reducible test runs
     before the indiscriminate test.  By default the first piece of evidence
     is returned (as a one-element list); with exhaustive=True every
-    (rule, literal) finding in the hypothesis is collected.
+    (rule, literal) finding in the hypothesis is collected.  Past the
+    deadline (a time.perf_counter value), checked before each captured
+    literal and each negative example's implication test, it raises
+    DeadlineExceeded.
     """
     if mode is DetectMode.OFF:
         return []
@@ -124,7 +133,8 @@ def find_pointless(
         for lit in sorted(rule.body, key=concrete_key):
             if not captured(rule, lit):
                 continue
-            ev = check_literal(store, rule, lit, rule_neg, domain, mode)
+            check_deadline(deadline)
+            ev = check_literal(store, rule, lit, rule_neg, domain, mode, deadline)
             if ev is not None:
                 if not exhaustive:
                     return [ev]

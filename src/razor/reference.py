@@ -99,10 +99,12 @@ def implies_by_refutation(
     domain: Sequence[Const],
     seed: Optional[Substitution] = None,
 ) -> bool:
-    """Reference implementation of ``implies``, refutation-first only:
-    every grounding of lit's free variables over the domain that falsifies
-    lit gets a satisfiability check of the body.  |domain|^k checks even
-    when the body has no solution; for tests only."""
+    """Reference implementation of ``implies``, straight from its
+    definition: every grounding of lit's k free variables over the domain
+    that falsifies lit gets a satisfiability check of the body.  |domain|^k
+    checks even when the body has no solution, where ``implies`` joins the
+    body once and settles the variables the body does not bind with one
+    index bucket per body solution; for tests only."""
     body = list(body)
     free = sorted(lit.vars() - set(seed or ()))
     for combo in product(domain, repeat=len(free)):
@@ -123,11 +125,8 @@ def is_indiscriminate(store: FactStore, neg: Iterable[Literal],
                       rule: Rule, lit: Literal) -> bool:
     """Coverage-equality test: removing lit covers exactly the same
     negative examples.  Vacuously true when neg is empty."""
-    reduced = reduce_rule(rule, lit)
-    for e in neg:
-        if covers_rule(store, reduced, e) and not covers_rule(store, rule, e):
-            return False
-    return True
+    neg = list(neg)
+    return covers_rule(store, reduce_rule(rule, lit), neg) & ~covers_rule(store, rule, neg) == 0
 
 
 def violates(h: Hypothesis, c: Constraint) -> bool:

@@ -12,7 +12,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from .datalog import FactStore, covers_rule, least_model
+from .datalog import FactStore, PredKey, covers_rule, least_model
 from .deadline import DeadlineExceeded
 from .generate import (
     AuditRecord,
@@ -84,6 +84,14 @@ class LearnResult:
     audit_records: list[AuditRecord] = field(default_factory=list)
 
 
+def _spread(mask: int, at: list[int]) -> int:
+    """The mask with bit k moved to bit at[k], for k < len(at); at ascends,
+    so it is 0 .. len(at)-1 when it ends at len(at)-1."""
+    if not at or at[-1] == len(at) - 1:
+        return mask & ((1 << len(at)) - 1)
+    return sum(1 << bit for k, bit in enumerate(at) if mask >> k & 1)
+
+
 class CoverageTester:
     """Coverage testing against a task with per-rule memoization, keyed by
     the rule as given: the generator builds every rule in canonical form,
@@ -106,6 +114,14 @@ class CoverageTester:
         self.base_pos = self._mask(self.pos, self.model)
         self.base_neg = self._mask(self.neg, self.model)
         self._rule_cache: dict[Rule, tuple[int, int]] = {}
+        # per head predicate: its examples, positives first, and their bits
+        # in the positive and in the negative mask
+        self._groups: dict[PredKey, tuple[list[Literal], list[int], list[int]]] = {}
+        for key in {e.pred_key for e in (*self.pos, *self.neg)}:
+            pos_at = [i for i, e in enumerate(self.pos) if e.pred_key == key]
+            neg_at = [i for i, e in enumerate(self.neg) if e.pred_key == key]
+            examples = [self.pos[i] for i in pos_at] + [self.neg[i] for i in neg_at]
+            self._groups[key] = (examples, pos_at, neg_at)
 
     @staticmethod
     def _mask(examples: Sequence[Literal], model: FactStore) -> int:
@@ -119,16 +135,14 @@ class CoverageTester:
         cached = self._rule_cache.get(rule)
         if cached is not None:
             return cached
-        pm = 0
-        for i, e in enumerate(self.pos):
-            if e.pred_key == rule.head.pred_key and covers_rule(self.model, rule, e):
-                pm |= 1 << i
-        nm = 0
-        for i, e in enumerate(self.neg):
-            if e.pred_key == rule.head.pred_key and covers_rule(self.model, rule, e):
-                nm |= 1 << i
-        self._rule_cache[rule] = (pm, nm)
-        return (pm, nm)
+        masks = (0, 0)
+        group = self._groups.get(rule.head.pred_key)
+        if group is not None:
+            examples, pos_at, neg_at = group
+            covered = covers_rule(self.model, rule, examples)
+            masks = (_spread(covered, pos_at), _spread(covered >> len(pos_at), neg_at))
+        self._rule_cache[rule] = masks
+        return masks
 
     @staticmethod
     def _is_recursive(h: Hypothesis) -> bool:
@@ -254,11 +268,16 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
                 stats.detect_subsumed += 1
                 continue
             t0 = time.perf_counter()
-            found = find_pointless(
-                tester.model, h, neg, domain,
-                mode=config.pointless,
-                exhaustive=config.exhaustive_evidence,
-            )
+            try:
+                found = find_pointless(
+                    tester.model, h, neg, domain,
+                    mode=config.pointless,
+                    exhaustive=config.exhaustive_evidence,
+                    deadline=deadline,
+                )
+            except DeadlineExceeded:
+                termination = TIMEOUT
+                return finish()
             stats.time_detection += time.perf_counter() - t0
             for ev in found:
                 evidence_log.append(ev)

@@ -192,31 +192,34 @@ def test_substitutions_empty_body_yields_seed():
 
 def test_covers_rule_intro_examples(intro_model):
     r = parse_rule("f(A) :- odd(A), int(A).")
-    assert covers_rule(intro_model, r, ground("f", 3))
-    assert covers_rule(intro_model, r, ground("f", 9))
+    assert covers_rule(intro_model, r, [ground("f", 3)]) == 1
+    assert covers_rule(intro_model, r, [ground("f", 9)]) == 1
     r2 = parse_rule("f(A) :- even(A).")
-    assert not covers_rule(intro_model, r2, ground("f", 5))
+    assert covers_rule(intro_model, r2, [ground("f", 5)]) == 0
 
 
 def test_covers_rule_empty_body_covers_everything(intro_model):
     r = parse_rule("f(A).")
-    assert covers_rule(intro_model, r, ground("f", 2))
-    assert covers_rule(intro_model, r, ground("f", 10))
+    assert covers_rule(intro_model, r, [ground("f", 2)]) == 1
+    assert covers_rule(intro_model, r, [ground("f", 10)]) == 1
 
 
 def test_covers_rule_head_mismatch_is_an_error(intro_model):
     r = parse_rule("f(A) :- odd(A).")
     with pytest.raises(ValueError):
-        covers_rule(intro_model, r, ground("g", 3))
+        covers_rule(intro_model, r, [ground("g", 3)])
     with pytest.raises(ValueError):
-        covers_rule(intro_model, r, ground("f", 1, 2))
+        covers_rule(intro_model, r, [ground("f", 1, 2)])
+    # also when the mismatched example follows matching ones
+    with pytest.raises(ValueError):
+        covers_rule(intro_model, r, [ground("f", 3), ground("g", 3)])
 
 
 def test_covers_rule_head_variable_missing_from_body(intro_model):
     # arises when a literal is deleted during the indiscriminate check
     r = parse_rule("g(A,B) :- odd(A).")
-    assert covers_rule(intro_model, r, ground("g", 3, 10))
-    assert not covers_rule(intro_model, r, ground("g", 2, 10))
+    assert covers_rule(intro_model, r, [ground("g", 3, 10)]) == 1
+    assert covers_rule(intro_model, r, [ground("g", 2, 10)]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +265,8 @@ def test_body_extension_never_grows_coverage(intro_model, intro_task):
         r2 = r1.__class__(r1.head, frozenset(body | {rng.choice(pool)}))
         assert subrule(r1, r2)
         for e in examples:
-            if covers_rule(intro_model, r2, e):
-                assert covers_rule(intro_model, r1, e)
+            if covers_rule(intro_model, r2, [e]) == 1:
+                assert covers_rule(intro_model, r1, [e]) == 1
 
 
 def test_adding_rules_never_shrinks_coverage(intro_task):
@@ -290,8 +293,32 @@ def test_covers_rule_agrees_with_least_model(intro_task, intro_model):
     for text in texts:
         r = parse_rule(text)
         m = least_model(list(intro_task.bk) + [r])
-        for e in examples:
-            assert covers_rule(intro_model, r, e) == m.contains(e)
+        mask = covers_rule(intro_model, r, examples)
+        for i, e in enumerate(examples):
+            assert covers_rule(intro_model, r, [e]) == m.contains(e)
+            assert (mask >> i & 1) == m.contains(e)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_covers_rule_mask_agrees_with_least_model_on_micro_strata(seed):
+    # every rule of every stratum against all of the task's examples: bit i
+    # of the mask is example i's membership in the model of BK plus the rule
+    task = random_task(seed).task
+    model = least_model(task.bk)
+    examples = [*task.pos, *task.neg]
+    rules = 0
+    for rule_size in range(2, 2 + task.bias.max_body):
+        for rule in _rule_stratum(task.bias, rule_size, ceiling=200_000):
+            m = least_model([rule], base=model)
+            want = sum(1 << i for i, e in enumerate(examples) if m.contains(e))
+            assert covers_rule(model, rule, examples) == want, rule
+            rules += 1
+    assert rules > 0
+
+
+def test_covers_rule_empty_example_list_is_zero(intro_model):
+    assert covers_rule(intro_model, parse_rule("f(A) :- odd(A)."), []) == 0
+    assert covers_rule(intro_model, parse_rule("f(A)."), []) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +526,85 @@ def test_implies_agrees_with_reference_on_generated_stores(query):
     store, body, target, domain, seed = query
     assert implies(store, body, target, domain, seed) == \
         implies_by_refutation(store, body, target, domain, seed)
+
+
+@st.composite
+def _lone_variable_queries(draw):
+    """Queries whose literal has lone variables, D and E, which occur in no
+    body literal: two of them, a repeated one (as in s(A,D,D)) or one beside
+    a constant.  The store is dense enough for a lone variable to take
+    every value now and then, and the domain is a strict subset or a strict
+    superset of the store's constants."""
+    consts = [str(i) for i in range(1, draw(st.integers(2, 4)) + 1)]
+    preds = [("p", 1), ("q", 2), ("r", 2), ("s", 3)]
+    density = draw(st.sampled_from([4, 7, 9]))
+    store = FactStore()
+    for name, arity in preds:
+        for combo in product(consts, repeat=arity):
+            if draw(st.integers(0, 9)) < density:
+                store.add(Literal(name, tuple(Const(c) for c in combo)))
+    if draw(st.booleans()):
+        domain = draw(st.lists(st.sampled_from(consts), unique=True,
+                               min_size=1, max_size=len(consts) - 1))
+    else:
+        domain = consts + ["8", "9"][:draw(st.integers(1, 2))]
+    body_terms = st.sampled_from([Var(v) for v in "ABC"] + [Const(c) for c in consts])
+
+    def body_literal():
+        name, arity = draw(st.sampled_from(preds))
+        return Literal(name, tuple(draw(body_terms) for _ in range(arity)))
+
+    body = [body_literal() for _ in range(draw(st.integers(0, 3)))]
+    shape = draw(st.sampled_from(["two lone", "repeated lone", "constant beside lone"]))
+    fixed = {"two lone": [Var("D"), Var("E")],
+             "repeated lone": [Var("D"), Var("D")],
+             "constant beside lone": [Var("D"), Const(draw(st.sampled_from(consts)))]}[shape]
+    name, arity = draw(st.sampled_from([("q", 2), ("r", 2), ("s", 3)]))
+    args = fixed + [draw(body_terms) for _ in range(arity - 2)]
+    target = Literal(name, tuple(draw(st.permutations(args))))
+    seed = draw(st.none() | st.dictionaries(st.sampled_from("ABC"),
+                                            st.sampled_from([Const(c) for c in consts])))
+    return store, body, target, [Const(c) for c in domain], seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lone_variable_queries())
+# a body solution binding A outside the domain is no grounding to check
+@example((FactStore([ground("p", 1), ground("p", 2), ground("s", 1, 1, 1)]),
+          [lit("p", "A")], lit("s", "A", "D", "D"), [Const("1")], None))
+def test_implies_agrees_with_reference_on_lone_variable_queries(query):
+    store, body, target, domain, seed = query
+    assert implies(store, body, target, domain, seed) == \
+        implies_by_refutation(store, body, target, domain, seed)
+
+
+def test_lone_variable_query_makes_no_check_per_domain_value(monkeypatch):
+    # a 200-node chain: link(D,B) asks, for each edge(A,B), whether every
+    # node D links to B; node(D) holds for every D
+    from razor import datalog
+
+    n = 200
+    store = FactStore()
+    for i in range(n):
+        store.add(ground("node", f"n{i}"))
+        if i + 1 < n:
+            store.add(ground("edge", f"n{i}", f"n{i + 1}"))
+            store.add(ground("link", f"n{i}", f"n{i + 1}"))
+    domain = [Const(f"n{i}") for i in range(n)]
+    calls = []
+    real = datalog._satisfiable
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(datalog, "_satisfiable", counting)
+    body = [lit("edge", "A", "B")]
+    assert not implies(store, body, lit("link", "D", "B"), domain)
+    assert implies(store, body, lit("node", "D"), domain)
+    assert not implies(store, body, lit("edge", "D", "E"), domain)
+    # one vacuity check per query, none per value of D
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from helpers import ground, lit, parse_hypothesis, parse_rule
 
 from razor import (
@@ -11,6 +13,7 @@ from razor import (
     least_model,
     subrule,
 )
+from razor.deadline import DeadlineExceeded
 from razor.logic import Rule, canonicalize, captured
 from razor.reference import is_indiscriminate
 
@@ -31,6 +34,21 @@ def test_intro_reducible_literal_found(intro_task):
     assert ev.kind is PointlessKind.REDUCIBLE
     assert ev.literal == lit("int", "A")
     assert ev.reduced_rule == parse_rule("f(A) :- odd(A).")
+
+
+def test_find_pointless_checks_the_deadline(intro_task, intro_model):
+    domain = list(intro_task.constant_domain)
+    h = parse_hypothesis("f(A) :- odd(A), int(A).")
+    with pytest.raises(DeadlineExceeded):
+        find_pointless(intro_model, h, intro_task.neg, domain, deadline=0.0)
+    # the indiscriminate test checks it before each negative's implication
+    rule = parse_rule("f(A) :- lt(A,10).")
+    with pytest.raises(DeadlineExceeded):
+        is_indiscriminate_direct(intro_model, intro_task.neg, rule, lit("lt", "A", "10"),
+                                 domain, deadline=0.0)
+    # a deadline in the future changes nothing
+    far = find_pointless(intro_model, h, intro_task.neg, domain, deadline=float("inf"))
+    assert far == _detect(intro_task, h)
 
 
 def test_intro_indiscriminate_literal_found(intro_task):
@@ -202,10 +220,10 @@ def test_indiscriminate_removal_never_worsens_cost(intro_task, intro_model):
     h = parse_hypothesis("f(A) :- lt(A,10).")
     [ev] = _detect(intro_task, h)
     assert ev.kind is PointlessKind.INDISCRIMINATE
-    neg_before = {e for e in intro_task.neg if covers_rule(intro_model, ev.rule, e)}
-    neg_after = {e for e in intro_task.neg if covers_rule(intro_model, ev.reduced_rule, e)}
-    pos_before = {e for e in intro_task.pos if covers_rule(intro_model, ev.rule, e)}
-    pos_after = {e for e in intro_task.pos if covers_rule(intro_model, ev.reduced_rule, e)}
+    neg_before = {e for e in intro_task.neg if covers_rule(intro_model, ev.rule, [e]) == 1}
+    neg_after = {e for e in intro_task.neg if covers_rule(intro_model, ev.reduced_rule, [e]) == 1}
+    pos_before = {e for e in intro_task.pos if covers_rule(intro_model, ev.rule, [e]) == 1}
+    pos_after = {e for e in intro_task.pos if covers_rule(intro_model, ev.reduced_rule, [e]) == 1}
     assert neg_after == neg_before
     assert pos_before <= pos_after
 

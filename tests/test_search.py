@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from helpers import parse_hypothesis
+from helpers import ground, parse_hypothesis, parse_rule
 
 from razor import (
     CostScore,
@@ -132,6 +132,22 @@ _CHAIN_TASK = (
 )
 
 
+def test_rule_masks_place_the_bits_of_each_head_predicate():
+    # examples of two predicates, interleaved: each rule's coverage call
+    # sees only its own predicate's, and the bits land at their indexes
+    task = parse_task_strings(
+        "head_pred(f,1). body_pred(odd,1). max_vars(1). max_body(1). max_rules(1).",
+        "odd(3). odd(5). odd(7).",
+        "pos(f(1)).",
+    )
+    pos = [ground("g", 3), ground("f", 3), ground("f", 4), ground("f", 5)]
+    neg = [ground("f", 7), ground("g", 5), ground("f", 2)]
+    tester = CoverageTester(task.bk, pos, neg)
+    assert tester.rule_masks(parse_rule("f(A) :- odd(A).")) == (0b1010, 0b001)
+    assert tester.rule_masks(parse_rule("g(A) :- odd(A).")) == (0b0001, 0b010)
+    assert tester.rule_masks(parse_rule("h(A) :- odd(A).")) == (0, 0)
+
+
 def test_recursive_testing_checks_the_deadline():
     task = parse_task_strings(*_CHAIN_TASK)
     closure = parse_hypothesis("p(A,B) :- e(A,B). p(A,B) :- e(A,C), p(C,B).")
@@ -157,6 +173,29 @@ def test_learn_times_out_when_testing_passes_the_deadline(monkeypatch):
     assert result.termination == TIMEOUT
     assert result.stats.tested > 0
     assert result.best is not None and not CoverageTester._is_recursive(result.best)
+
+
+def test_learn_times_out_when_detection_passes_the_deadline(monkeypatch, intro_task):
+    # the first detection sleeps until the deadline has passed; learn must
+    # stop there with the best hypothesis tested so far
+    from razor import search
+
+    real = search.find_pointless
+    raised = []
+
+    def slow(*args, deadline, **kwargs):
+        time.sleep(max(0.0, deadline - time.perf_counter()) + 0.01)
+        try:
+            return real(*args, deadline=deadline, **kwargs)
+        except DeadlineExceeded:
+            raised.append(True)
+            raise
+
+    monkeypatch.setattr(search, "find_pointless", slow)
+    result = learn(intro_task, LearnConfig(timeout=0.5, noisy=True))
+    assert raised == [True]
+    assert result.termination == TIMEOUT
+    assert result.stats.tested == 1 and result.best is not None
 
 
 _CLOSURE_BK_TASK = (
