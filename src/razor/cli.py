@@ -38,6 +38,17 @@ _POINTLESS_FLAGS = {
 }
 
 
+def _at_least(convert, low):
+    """An argparse type: the converted text, refused below low."""
+    def parse(text: str):
+        value = convert(text)
+        if not value >= low:  # also refuses nan
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's message for unparsable text uses it
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="razor",
@@ -48,8 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_learn = sub.add_parser("learn", help="search a task for an optimal hypothesis")
     p_learn.add_argument("task", help="task directory (bias.pl, bk.pl, exs.pl)")
-    p_learn.add_argument("--max-size", type=int, default=None)
-    p_learn.add_argument("--timeout", type=float, default=None, help="seconds")
+    p_learn.add_argument("--max-size", type=_at_least(int, 2), default=None)
+    p_learn.add_argument("--timeout", type=_at_least(float, 0), default=None, help="seconds")
     p_learn.add_argument("--pointless", choices=sorted(_POINTLESS_FLAGS), default="on")
     p_learn.add_argument("--noisy", action="store_true",
                          help="drop failure-driven constraints (sound on noisy data)")
@@ -75,8 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("suite", help="directory of task directories")
     p_bench.add_argument("--out", type=Path, required=True, help="JSON output path")
     p_bench.add_argument("--csv", type=Path, default=None, help="optional CSV flattening")
-    p_bench.add_argument("--repeats", type=int, default=1)
-    p_bench.add_argument("--timeout", type=float, default=None)
+    p_bench.add_argument("--repeats", type=_at_least(int, 1), default=1)
+    p_bench.add_argument("--timeout", type=_at_least(float, 0), default=None)
     p_bench.add_argument("--noisy", action="store_true")
     return parser
 

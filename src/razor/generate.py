@@ -391,10 +391,19 @@ class HypothesisGenerator:
     value) next_hypothesis raises DeadlineExceeded, and a later call for
     that size starts the size over.
 
+    Without recursion or audit, the rules a slot picks from are filtered
+    by the stored pointless constraints.  A slot of one rule checks each
+    rule when the enumeration reaches it, against the constraints stored
+    by then, so a search that stops early never matches the rest of the
+    stratum; a slot of several rules filters its whole pool first.
+    Either way every emitted hypothesis also passes _passes.
+
     nodes_explored counts the bodies stratum assembly builds: every
     partial body it extends, the empty one included, and every complete
     body that is safe and connected, before the test against its
-    renamings.  time_stratum is the seconds spent in assembly."""
+    renamings.  time_stratum is the seconds spent in assembly, and
+    time_pointless_match the seconds spent matching rules and hypotheses
+    against pointless constraints."""
 
     def __init__(self, bias: Bias, store: ConstraintStore, audit: bool = False,
                  deadline: Optional[float] = None):
@@ -404,6 +413,7 @@ class HypothesisGenerator:
         self.deadline = deadline
         self.nodes_explored = 0
         self.time_stratum = 0.0
+        self.time_pointless_match = 0.0
         self.emitted = 0
         self.considered = 0
         self.audit_records: list[AuditRecord] = []
@@ -535,9 +545,23 @@ class HypothesisGenerator:
 
     # -- hypothesis-level enumeration ------------------------------------
 
+    def _unpruned(self, pool: list[Rule]) -> Iterator[Rule]:
+        """The rules of the pool that no stored pointless constraint
+        matches, each checked against the store as it is when the rule is
+        reached."""
+        store = self.store
+        for r in pool:
+            if store.count[ConstraintKind.POINTLESS_SUPER_RULE]:
+                check_deadline(self.deadline)
+                t0 = time.perf_counter()
+                matched = store.pointless_match(r) is not None
+                self.time_pointless_match += time.perf_counter() - t0
+                if matched:
+                    continue
+            yield r
+
     def _candidates(self, size: int) -> Iterator[Hypothesis]:
         filter_rules = not self.bias.recursion and not self.audit
-        store = self.store
         for groups in rule_groups(size, self.bias.max_rules):
 
             def pick(gi: int, chosen: tuple[Rule, ...]) -> Iterator[Hypothesis]:
@@ -546,14 +570,12 @@ class HypothesisGenerator:
                     return
                 part, count = groups[gi]
                 pool = self.rule_stratum(part)
-                if filter_rules and store.count[ConstraintKind.POINTLESS_SUPER_RULE]:
-                    kept = []
-                    for r in pool:
-                        check_deadline(self.deadline)
-                        if store.pointless_match(r) is None:
-                            kept.append(r)
-                    pool = kept
-                for sel in combinations(pool, count):
+                if filter_rules:
+                    pool = self._unpruned(pool)
+                # combinations reads its whole pool first; a one-rule slot
+                # filters each rule only when the enumeration reaches it
+                sels = ((r,) for r in pool) if count == 1 else combinations(pool, count)
+                for sel in sels:
                     yield from pick(gi + 1, chosen + sel)
 
             yield from pick(0, ())
@@ -563,7 +585,9 @@ class HypothesisGenerator:
         rejection by a pointless constraint alone is recorded."""
         if self.store.violated_non_pointless(h):
             return False
+        t0 = time.perf_counter()
         pv = self.store.first_pointless_violation(h)
+        self.time_pointless_match += time.perf_counter() - t0
         if pv is None:
             return True
         if self.audit:

@@ -61,16 +61,22 @@ class Stats:
     constraints: dict = field(default_factory=dict)
     evidence: dict = field(default_factory=lambda: {"reducible": 0, "indiscriminate": 0})
     detect_subsumed: int = 0  # detections skipped: a specialisation constraint covers them
+    detect_futile: int = 0  # detections skipped: their constraints could ban nothing
     time_total: float = 0.0
     time_detection: float = 0.0
     time_testing: float = 0.0
     time_stratum: float = 0.0  # rule-stratum assembly in the generator
+    time_pointless_match: float = 0.0  # pointless-constraint matching in the generator
 
     def to_dict(self) -> dict:
         """The fields plus `overhead_fraction`, detection time over total
-        time (0.0 when the total is 0)."""
+        time, and `pruning_overhead_fraction`, detection and generator
+        pointless matching over total time (both 0.0 when the total is 0)."""
         d = asdict(self)
-        d["overhead_fraction"] = self.time_detection / self.time_total if self.time_total else 0.0
+        total = self.time_total
+        d["overhead_fraction"] = self.time_detection / total if total else 0.0
+        d["pruning_overhead_fraction"] = (
+            (self.time_detection + self.time_pointless_match) / total if total else 0.0)
         return d
 
 
@@ -186,7 +192,32 @@ def build_cons(h: Hypothesis, fn: int, fp: int, noisy: bool = False,
     return cons
 
 
+def detection_is_futile(h: Hypothesis, max_rules: int, max_body: int, max_size: int) -> bool:
+    """Whether no pointless-super-rule constraint from h can ban a
+    hypothesis the search has still to offer.  Such a constraint from rule
+    R bans only hypotheses holding an injective renaming of a super-rule
+    of R, and the enumerator never offers h again.  So detection on a
+    one-rule h is futile when R has no proper super-rule in the space (a
+    full body, or R alone fills max_size) and R cannot sit beside another
+    rule (max_rules(1), or R and a two-literal rule exceed max_size).  A
+    hypothesis of several rules never qualifies."""
+    if len(h) != 1:
+        return False
+    (rule,) = h
+    return ((len(rule.body) == max_body or rule.size == max_size)
+            and (max_rules == 1 or rule.size + 2 > max_size))
+
+
 def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
+    """Search the task for an optimal hypothesis up to the size bound.
+
+    Each tested hypothesis gets its failure-driven constraints and, unless
+    pruning is off, pointless detection.  Detection is skipped where its
+    constraint could not ban anything new: a one-rule hypothesis missing a
+    positive under max_rules(1) in noiseless mode (its specialisation
+    constraint bans every super-rule already; counted in detect_subsumed),
+    and any hypothesis for which detection_is_futile holds (counted in
+    detect_futile)."""
     config = config or LearnConfig()
     bias = task.bias
     max_size = config.max_size if config.max_size is not None else bias.max_size
@@ -213,6 +244,7 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
         stats.considered = gen.considered
         stats.nodes_explored = gen.nodes_explored
         stats.time_stratum = gen.time_stratum
+        stats.time_pointless_match = gen.time_pointless_match
         stats.constraints = store.counts()
         stats.time_total = time.perf_counter() - t_start
         if termination == TIMEOUT and stats.tested == 0:
@@ -266,6 +298,9 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
                 # hypothesis whose one rule contains a renaming of h's rule,
                 # which is all a pointless constraint from h could ban
                 stats.detect_subsumed += 1
+                continue
+            if detection_is_futile(h, bias.max_rules, bias.max_body, max_size):
+                stats.detect_futile += 1
                 continue
             t0 = time.perf_counter()
             try:

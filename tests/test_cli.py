@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from razor.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -34,8 +36,9 @@ def test_learn_writes_versioned_stats(capsys, fixtures_dir, tmp_path):
     assert record["best_errors"] == 0
     assert record["config"]["seed"] == 7
     for field in ("generated", "considered", "tested", "time_total", "time_detection",
-                  "time_testing", "time_stratum", "constraints", "evidence",
-                  "detect_subsumed"):
+                  "time_testing", "time_stratum", "time_pointless_match", "constraints",
+                  "evidence", "detect_subsumed", "detect_futile", "overhead_fraction",
+                  "pruning_overhead_fraction"):
         assert field in record["stats"]
 
 
@@ -70,6 +73,25 @@ def test_timeout_without_result_exit_code(capsys, fixtures_dir):
                            "--timeout", "0", capsys=capsys)
     assert code == 4
     assert "no hypothesis" in out
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("learn", "TASK", "--max-size", "1"), "--max-size"),
+    (("learn", "TASK", "--max-size", "two"), "--max-size"),
+    (("learn", "TASK", "--timeout", "-1"), "--timeout"),
+    (("learn", "TASK", "--timeout", "nan"), "--timeout"),
+    (("bench", "TASK", "--out", "OUT", "--repeats", "0"), "--repeats"),
+    (("bench", "TASK", "--out", "OUT", "--timeout", "-0.5"), "--timeout"),
+])
+def test_bad_numeric_flags_are_usage_errors(capsys, fixtures_dir, tmp_path, args, flag):
+    argv = [str(fixtures_dir / "intro") if a == "TASK" else
+            str(tmp_path / "out.json") if a == "OUT" else a for a in args]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"argument {flag}" in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_check_reports_findings_with_exit_three(capsys, fixtures_dir):

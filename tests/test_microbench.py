@@ -1,9 +1,10 @@
-"""Microbenchmarks of the two entailment primitives on a store the size of
-a recursive-chain task: a 200-node chain with forward skips, its reverse
-and 100 random links.  Each runs a fixed number of rounds, so the module
-stays well under two seconds; nothing is saved unless pytest-benchmark is
-asked to (``--benchmark-autosave``).  ``--benchmark-disable`` runs each
-body once as a plain test."""
+"""Microbenchmarks of hot primitives.  The entailment primitives and
+least_model run on a store the size of a recursive-chain task: a 200-node
+chain with forward skips, its reverse and 100 random links.  Constraint
+matching runs over intro's size-4 stratum.  Each runs a fixed number of
+rounds, so the module stays under two seconds; nothing is saved unless
+pytest-benchmark is asked to (``--benchmark-autosave``).
+``--benchmark-disable`` runs each body once as a plain test."""
 
 import random
 
@@ -11,13 +12,16 @@ import pytest
 
 from helpers import ground, lit, parse_rule
 
-from razor import Const, covers_rule, implies
+from razor import Const, covers_rule, find_pointless, implies, least_model, parse_rules
 from razor.datalog import FactStore
+from razor.generate import Constraint, ConstraintKind, ConstraintStore, HypothesisGenerator
+from razor.search import CoverageTester
 
 pytest.importorskip("pytest_benchmark")
 
 N = 200
 ROUNDS = 30
+SLOW_ROUNDS = 8  # for the primitives that take tens of milliseconds a round
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +68,40 @@ def test_bench_covers_rule_one_rule_examples(benchmark, chain):
                               rounds=ROUNDS, iterations=1, warmup_rounds=1)
     assert mask & (1 << 30) - 1 == (1 << 30) - 1  # every two-hop positive
     assert mask >> 30 == 0  # no reversed edge
+
+
+def test_bench_least_model_chain_closure(benchmark, chain):
+    # the transitive closure of the chain's edges, extending the store as
+    # a recursive candidate extends the background model
+    store, _, _ = chain
+    closure = parse_rules("reach(A,B) :- edge(A,B).\nreach(A,B) :- edge(A,C), reach(C,B).")
+    model = benchmark.pedantic(least_model, args=(closure,), kwargs={"base": store},
+                               rounds=SLOW_ROUNDS, iterations=1, warmup_rounds=1)
+    assert len(model.tuples(("reach", 2))) == N * (N - 1) // 2
+
+
+def test_bench_pointless_match_over_a_stratum(benchmark, intro_task):
+    # the pool filter's work on intro's size-4 stratum, against the
+    # pointless constraints that exhaustive detection finds in its size-3
+    # stratum; each round starts from a fresh store, as a run does
+    gen = HypothesisGenerator(intro_task.bias, ConstraintStore())
+    model = CoverageTester(intro_task.bk, intro_task.pos, intro_task.neg).model
+    domain = list(intro_task.constant_domain)
+    constraints = [Constraint(ConstraintKind.POINTLESS_SUPER_RULE, evidence=ev)
+                   for r in gen.rule_stratum(3)
+                   for ev in find_pointless(model, frozenset({r}), intro_task.neg, domain,
+                                            exhaustive=True)]
+    stratum = gen.rule_stratum(4)
+
+    def fresh_store():
+        store = ConstraintStore()
+        for c in constraints:
+            store.add(c)
+        return (store,), {}
+
+    def unmatched(store):
+        return sum(store.pointless_match(r) is None for r in stratum)
+
+    kept = benchmark.pedantic(unmatched, setup=fresh_store, rounds=SLOW_ROUNDS,
+                              iterations=1, warmup_rounds=1)
+    assert 0 < kept < len(stratum)

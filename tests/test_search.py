@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -8,6 +9,7 @@ from razor import (
     CostScore,
     DetectMode,
     LearnConfig,
+    find_pointless,
     learn,
     parse_task,
     render_hypothesis,
@@ -315,10 +317,84 @@ def test_detection_is_skipped_when_a_specialisation_constraint_covers_it(
     assert s.detect_subsumed == 692
     assert s.evidence == {"reducible": 0, "indiscriminate": 0}
     assert s.constraints["pointless-super-rule"] == 0
+    # the other fixtures' one-rule hypotheses that cover every positive
+    # but a negative skip detection only where their rule has a full body
+    assert {name: run.stats.detect_futile for name, run in fixture_runs.items()} == {
+        "intro": 153, "transitive_gt": 178, "eight_puzzle_mini": 0, "trains_mini": 2}
     # noisy mode stores no specialisation constraints, so detection runs
+    # on every hypothesis whose rule can still grow
     noisy = learn(trains_task, LearnConfig(noisy=True)).stats
     assert noisy.detect_subsumed == 0
+    assert noisy.detect_futile == 33
+    assert noisy.detect_futile + sum(noisy.evidence.values()) <= noisy.tested
     assert sum(noisy.evidence.values()) == noisy.constraints["pointless-super-rule"] > 0
+
+
+def _futile_detections(monkeypatch, task, config) -> list:
+    """The hypotheses whose detection learn skipped as futile."""
+    from razor import search
+
+    skipped = []
+    real = search.detection_is_futile
+
+    def recording(h, *bounds):
+        futile = real(h, *bounds)
+        if futile:
+            skipped.append(h)
+        return futile
+
+    monkeypatch.setattr(search, "detection_is_futile", recording)
+    result = learn(task, config)
+    monkeypatch.undo()
+    assert result.stats.detect_futile == len(skipped)
+    return skipped
+
+
+def _assert_futile_constraints_ban_nothing_else(task, space, skipped):
+    # The constraints exhaustive detection finds on a skipped hypothesis
+    # {R} may match {R} itself, which is never offered again, and nothing
+    # else.  A store of every skipped hypothesis's constraints matches a
+    # hypothesis exactly when one of the per-hypothesis stores does.  A
+    # constraint from R' matches R only through an injective renaming of
+    # R' into R, so it has fewer literals than R, or R' and R are the same
+    # canonical rule; a skipped {R} is therefore checked against the
+    # constraints of the skipped rules smaller than R.
+    from razor.generate import Constraint, ConstraintKind, ConstraintStore
+
+    model = CoverageTester(task.bk, task.pos, task.neg).model
+    domain = list(task.constant_domain)
+    everything = max(next(iter(h)).size for h in skipped) + 1
+    smaller_than = {size: ConstraintStore() for size in range(2, everything + 1)}
+    for h in skipped:
+        (rule,) = h
+        for ev in find_pointless(model, h, task.neg, domain, exhaustive=True):
+            for size, store in smaller_than.items():
+                if rule.size < size:
+                    store.add(Constraint(ConstraintKind.POINTLESS_SUPER_RULE, evidence=ev))
+    skipped_sizes = {h: next(iter(h)).size for h in skipped}
+    for h in space:
+        store = smaller_than[skipped_sizes.get(h, everything)]
+        assert store.first_pointless_violation(h) is None, (task.name, set(h))
+
+
+def test_skipped_detections_could_ban_nothing(fixtures_dir, monkeypatch):
+    from razor.oracle import enumerate_all
+
+    tasks = [(parse_task(fixtures_dir / name), None) for name in FIXTURE_COUNTERS]
+    tasks += [(mt.task, mt.search_size) for mt in map(random_task, range(1, 51))]
+    total = 0
+    for task, max_size in tasks:
+        space = None
+        for noisy in (False, True):
+            config = LearnConfig(max_size=max_size, noisy=noisy)
+            skipped = _futile_detections(monkeypatch, task, config)
+            if skipped:
+                if space is None:
+                    space = [h for size in range(2, (max_size or task.bias.max_size) + 1)
+                             for h in enumerate_all(task.bias, size)]
+                _assert_futile_constraints_ban_nothing_else(task, space, skipped)
+            total += len(skipped)
+    assert total > 0
 
 
 def test_learn_noisy_mode_matches_oracle_on_shuffled_labels():
@@ -330,6 +406,33 @@ def test_learn_noisy_mode_matches_oracle_on_shuffled_labels():
     result = learn(task, LearnConfig(max_size=mt.search_size, noisy=True))
     best, _ = oracle_optimal(task, mt.search_size)
     assert result.best_score == best
+
+
+def _flip_labels(task, seed: int):
+    """The task with a tenth of its examples (at least one) relabelled."""
+    rng = random.Random(seed)
+    labelled = [(e, True) for e in task.pos] + [(e, False) for e in task.neg]
+    flipped = set(rng.sample(range(len(labelled)), max(1, len(labelled) // 10)))
+    task.pos = [e for i, (e, pos) in enumerate(labelled) if pos != (i in flipped)]
+    task.neg = [e for i, (e, pos) in enumerate(labelled) if pos == (i in flipped)]
+    return task
+
+
+def test_noisy_micro_suite_matches_oracle_with_clean_audit():
+    from razor.oracle import oracle_optimal
+
+    blocked = 0
+    multi_rule = 0
+    for seed in range(101, 141):
+        mt = random_task(seed)
+        task = _flip_labels(mt.task, seed)
+        result = learn(task, LearnConfig(max_size=mt.search_size, noisy=True, audit=True))
+        best, _ = oracle_optimal(task, mt.search_size)
+        assert result.best_score == best, seed
+        assert verify_audit(task, result) == [], seed
+        blocked += len(result.audit_records)
+        multi_rule += task.bias.max_rules > 1
+    assert blocked > 0 and multi_rule > 0
 
 
 def test_learn_ablation_modes_agree_on_score(trains_task):
@@ -357,6 +460,55 @@ def test_audit_mode_does_not_change_the_search(intro_task):
     assert audited.best_score == plain.best_score
     assert audited.stats.generated == plain.stats.generated
     assert audited.stats.tested == plain.stats.tested
+
+
+def _emitted(monkeypatch, task, config) -> list:
+    """Every hypothesis the generator emits during one learn run, in order."""
+    emitted = []
+    real = HypothesisGenerator.next_hypothesis
+
+    def recording(self, size):
+        h = real(self, size)
+        if h is not None:
+            emitted.append(h)
+        return h
+
+    monkeypatch.setattr(HypothesisGenerator, "next_hypothesis", recording)
+    learn(task, config)
+    monkeypatch.undo()
+    return emitted
+
+
+def test_pool_filter_never_changes_what_is_emitted(fixtures_dir, monkeypatch):
+    # audit mode turns the pool filter off and leaves every rejection to
+    # the hypothesis-level check, so both must emit the same sequence
+    tasks = [(parse_task(fixtures_dir / name), None) for name in FIXTURE_COUNTERS]
+    tasks += [(mt.task, mt.search_size) for mt in map(random_task, range(1, 51))]
+    assert any(task.bias.max_rules == 2 for task, _ in tasks)
+    for task, max_size in tasks:
+        for noisy in (False, True):
+            plain = _emitted(monkeypatch, task, LearnConfig(max_size=max_size, noisy=noisy))
+            audited = _emitted(monkeypatch, task, LearnConfig(max_size=max_size, noisy=noisy,
+                                                              audit=True))
+            assert plain == audited, (task.name, noisy)
+
+
+def test_one_rule_slot_matches_no_rule_past_the_optimum(intro_task, monkeypatch):
+    # the noiseless search stops at intro's size-4 optimum, so the rules
+    # after it in the stratum are never reached and never matched
+    from razor.generate import ConstraintStore
+
+    matched = []
+    real = ConstraintStore.pointless_match
+    monkeypatch.setattr(ConstraintStore, "pointless_match",
+                        lambda self, r: matched.append(r) or real(self, r))
+    result = learn(intro_task)
+    (optimum,) = result.best
+    stratum = HypothesisGenerator(intro_task.bias, ConstraintStore()).rule_stratum(4)
+    position = {r: i for i, r in enumerate(stratum)}
+    assert position[optimum] < len(stratum) - 1
+    reached = [position[r] for r in matched if r.size == 4]
+    assert reached and max(reached) == position[optimum]
 
 
 def test_recursion_enabled_micro_tasks_match_oracle():
