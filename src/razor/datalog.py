@@ -1,21 +1,28 @@
 """Bottom-up evaluation of function-free definite programs and the
 entailment queries used for coverage testing and redundancy detection.
 
-Rule bodies are compiled once into plans of argument slots.  Two join
-engines run on them:
+Rule bodies are compiled into argument slots and constants, and three
+kinds of join run on them:
 
-- ``_solve`` serves the existential and enumeration queries
-  (``covers_rule``, ``implies``, ``satisfying_substitutions``): it works
-  tuple at a time on a binding list indexed by slot, picks the smallest
-  index bucket per binding and stops at the first solution its caller
-  wants.  Each query plans its rule or body once: ``covers_rule`` takes a
-  rule's whole list of examples and runs one join per example, and
-  ``implies`` runs one join of the body and one bucket check per
-  distinct body solution, never one check per domain value.
+- ``_solve`` serves the existential and enumeration queries of
+  redundancy detection (``implies``, ``satisfying_substitutions``): it
+  works tuple at a time on a binding list indexed by slot, picks the
+  smallest index bucket per binding and stops at the first solution its
+  caller wants.  ``implies`` plans its body once and runs one join of it
+  and one bucket check per distinct body solution, never one check per
+  domain value.
+- ``covers_rule`` runs on a ``CoveragePack``, which holds one example
+  list and joins set at a time: rows of an example index and variable
+  values are extended by one body literal at a time, in plan order, and
+  the rows of each body prefix are kept for the next rule that shares
+  it.  Over a stratum, whose rules arrive in that order, a rule costs
+  about one extension: its last literal, joined to its parent prefix's
+  rows only to learn which rows some fact matches.
 - The fixpoint rounds of ``least_model`` run set at a time: each rule
   body, once per body position a delta can feed, is compiled into a
   pipeline of steps with a static join order, and every step joins a
-  whole batch of bindings against the store in one comprehension.
+  whole batch of bindings against the store in one comprehension.  The
+  packs' extensions are such steps.
 """
 
 from __future__ import annotations
@@ -191,11 +198,7 @@ class _Plan:
         self.pipelines: dict[Optional[int], _Pipeline] = {}
 
     def compile(self, lit: Literal) -> CompiledLiteral:
-        args = tuple(
-            t.name if isinstance(t, Const) else self.slot.setdefault(t.name, len(self.slot))
-            for t in lit.args
-        )
-        return (lit.pred_key, args)
+        return _compile(lit, self.slot)
 
     def binding(self, seed: Optional[Substitution] = None) -> Binding:
         b: Binding = [None] * len(self.names)
@@ -210,6 +213,14 @@ class _Plan:
         if pipe is None:
             pipe = self.pipelines[first] = _Pipeline(self.body, self.head, first)  # type: ignore[arg-type]
         return pipe
+
+
+def _compile(lit: Literal, slots: dict[str, int]) -> CompiledLiteral:
+    """The literal with its arguments resolved to constant names and to
+    slots, giving each new variable the next slot."""
+    return (lit.pred_key, tuple(
+        t.name if isinstance(t, Const) else slots.setdefault(t.name, len(slots))
+        for t in lit.args))
 
 
 @lru_cache(maxsize=32)
@@ -298,22 +309,6 @@ def _satisfiable(store: FactStore, lits: Sequence[CompiledLiteral], b: Binding) 
     found = next(_solve(store, lits, b), None) is not None
     b[:] = saved
     return found
-
-
-def _match(args: tuple[Arg, ...], fact: Fact, b: Binding) -> bool:
-    """Bind the free slots of args to the fact; False on a clash (b may
-    then hold partial bindings)."""
-    for a, v in zip(args, fact):
-        if a.__class__ is str:
-            if a != v:
-                return False
-        else:
-            cur = b[a]
-            if cur is None:
-                b[a] = v
-            elif cur != v:
-                return False
-    return True
 
 
 def satisfying_substitutions(
@@ -517,12 +512,16 @@ def _round(store: FactStore, plans: Sequence[_Plan],
     """One bottom-up round: the head facts the rules derive, joining every
     body against the whole store (delta None) or, semi-naively, one body
     literal against the delta facts and the others against the store.
-    The store is only grown after the round."""
+    The store is only grown after the round.  A whole-body join with a
+    literal whose predicate has no facts yet is skipped: it derives
+    nothing, and its lookups would build indexes that every later round
+    maintains."""
     new: dict[PredKey, set[Fact]] = {}
     for plan in plans:
         derived = new.setdefault(plan.head[0], set())  # type: ignore[index]
         if delta is None:
-            derived.update(plan.pipeline().run(store))
+            if all(store.tuples(key) for key, _ in plan.body):
+                derived.update(plan.pipeline().run(store))
             continue
         for i, (key, _) in enumerate(plan.body):
             fresh = delta.get(key)
@@ -593,24 +592,124 @@ def head_binding(rule: Rule, example: Literal) -> Optional[Substitution]:
     return theta
 
 
-def covers_rule(store: FactStore, rule: Rule, examples: Sequence[Literal]) -> int:
+# ---------------------------------------------------------------------------
+# coverage packs
+# ---------------------------------------------------------------------------
+
+# the slot of a pack row's example index; no variable has an empty name
+_EXAMPLE = ""
+
+
+class CoveragePack:
+    """Coverage of the rules of one head predicate against a fixed list of
+    examples and a fixed store, sharing body-prefix joins between the
+    rules it is asked about.
+
+    A rule's body is taken in plan order (sorted by concrete_key).  A row
+    is an example index followed by the values of the variables bound so
+    far: the head's, then each body literal's new ones, in order of first
+    occurrence.  The pack keeps the rows that match the last rule's head
+    and the rows that survive each proper prefix of its body, set at a
+    time.  A rule with the same head starts from the deepest body prefix
+    it shares with that rule, so a stratum, whose rules arrive in
+    concrete-rank order and share their prefixes with their neighbours,
+    costs about one extension per rule: its last literal, joined only to
+    learn which rows some fact matches.  Head constants, repeated head
+    variables and head variables missing from the body are settled by the
+    head match, and repeated body variables by the extension's checks.
+    Past the deadline (a time.perf_counter value), checked between
+    extensions, a query raises DeadlineExceeded and leaves the kept states
+    consistent."""
+
+    def __init__(self, store: FactStore, examples: Sequence[Literal],
+                 deadline: Optional[float] = None):
+        self.store = store
+        self.examples = examples
+        self.deadline = deadline
+        self.extensions = 0  # body literals joined to a batch of rows
+        self.args = [tuple([t.name for t in e.args]) for e in examples]  # as fact tuples
+        self._head: Optional[Literal] = None
+        self._lits: list[Literal] = []  # the body prefix the states cover
+        # _states[k]: slots and rows after the head and the first k literals
+        self._states: list[tuple[dict[str, int], list[Row]]] = []
+
+    def mask(self, rule: Rule) -> int:
+        """The bitmask of the examples (bit i for examples[i]) that the rule
+        entails against the store."""
+        if rule.head != self._head:
+            self._match_head(rule.head)
+        body = rule.body_sorted()
+        last = len(body) - 1
+        k = 0
+        while k < min(last, len(self._lits)) and self._lits[k] == body[k]:
+            k += 1
+        del self._lits[k:], self._states[k + 1:]
+        while k < last:
+            slots, rows = self._states[k]
+            slots = dict(slots)
+            rows = self._extend(slots, rows, body[k], keep=True)
+            self._lits.append(body[k])
+            self._states.append((slots, rows))
+            k += 1
+            check_deadline(self.deadline)
+        slots, rows = self._states[k]
+        if body:
+            rows = self._extend(dict(slots), rows, body[k], keep=False)
+        mask = 0
+        for i in {row[0] for row in rows}:
+            mask |= 1 << i
+        return mask
+
+    def _match_head(self, head: Literal) -> None:
+        key = head.pred_key
+        for e in self.examples:
+            if e.pred_key != key:
+                raise ValueError(f"example {e!r} does not match head {head!r}")
+        slots = {_EXAMPLE: 0}
+        _, args = _compile(head, slots)
+        first: dict[Arg, int] = {}
+        checks: list[tuple[int, str]] = []
+        repeats: list[tuple[int, int]] = []
+        for j, a in enumerate(args):
+            if a.__class__ is str:
+                checks.append((j, a))  # type: ignore[arg-type]
+            elif a in first:
+                repeats.append((j, first[a]))
+            else:
+                first[a] = j
+        get = list(first.values())
+        rows = [(i, *[e[j] for j in get]) for i, e in enumerate(self.args)
+                if all(e[j] == c for j, c in checks) and all(e[j] == e[q] for j, q in repeats)]
+        self._head = head
+        self._lits = []
+        self._states = [(slots, rows)]
+
+    def _extend(self, slots: dict[str, int], rows: list[Row], lit: Literal,
+                keep: bool) -> list[Row]:
+        """The rows joined to the literal, compiled into slots: extended by
+        each matching fact's values of the new variables when keep is set,
+        otherwise each row some fact matches, once."""
+        self.extensions += 1
+        bound = len(slots)
+        compiled = _compile(lit, slots)
+        if not rows:
+            return rows
+        at = {s: s for s in range(bound)}
+        step = _Step(compiled, at, set(range(bound, len(slots))) if keep else set(), scan=False)
+        return step.run(self.store, rows)
+
+
+def covers_rule(store: FactStore, rule: Rule, examples: Sequence[Literal],
+                pack: Optional[CoveragePack] = None) -> int:
     """The bitmask of the ground examples (bit i for examples[i]) that the
     single rule, evaluated against the given model of the background
-    knowledge, entails.  The rule is planned once; each example then costs
-    one join that stops at its first solution.  Head variables missing
-    from the body are simply left bound by the example."""
-    key = rule.head.pred_key
-    plan = _plan(rule.body, rule.head)
-    head, body, width = plan.head[1], plan.body, len(plan.names)  # type: ignore[index]
-    mask = 0
-    for i, e in enumerate(examples):
-        if e.pred_key != key:
-            raise ValueError(f"example {e!r} does not match head {rule.head!r}")
-        b: Binding = [None] * width
-        if _match(head, tuple([t.name for t in e.args]), b) and \
-                next(_solve(store, body, b), None) is not None:
-            mask |= 1 << i
-    return mask
+    knowledge, entails.  The query runs on the given pack, which must have
+    been built for this store and these examples, or on a fresh one."""
+    if pack is None:
+        pack = CoveragePack(store, examples)
+    elif pack.store is not store or pack.examples is not examples:
+        raise ValueError("the coverage pack was built for another store or example list")
+    return pack.mask(rule)
 
 
 def _component(lits: Sequence[CompiledLiteral], slots: set[int],

@@ -395,8 +395,10 @@ class HypothesisGenerator:
     by the stored pointless constraints.  A slot of one rule checks each
     rule when the enumeration reaches it, against the constraints stored
     by then, so a search that stops early never matches the rest of the
-    stratum; a slot of several rules filters its whole pool first.
-    Either way every emitted hypothesis also passes _passes.
+    stratum, and a one-rule hypothesis so checked skips the
+    hypothesis-level pointless check of _passes: no constraint can arrive
+    in between.  A slot of several rules filters its whole pool first, so
+    its hypotheses are checked again.
 
     nodes_explored counts the bodies stratum assembly builds: every
     partial body it extends, the empty one included, and every complete
@@ -560,13 +562,16 @@ class HypothesisGenerator:
                     continue
             yield r
 
-    def _candidates(self, size: int) -> Iterator[Hypothesis]:
+    def _candidates(self, size: int) -> Iterator[tuple[Hypothesis, bool]]:
+        """Every hypothesis of the size, with whether the pool filter has
+        just matched its one rule against the store as it stands."""
         filter_rules = not self.bias.recursion and not self.audit
         for groups in rule_groups(size, self.bias.max_rules):
+            matched = filter_rules and groups == ((size, 1),)
 
             def pick(gi: int, chosen: tuple[Rule, ...]) -> Iterator[Hypothesis]:
                 if gi == len(groups):
-                    yield frozenset(chosen)
+                    yield frozenset(chosen), matched
                     return
                 part, count = groups[gi]
                 pool = self.rule_stratum(part)
@@ -580,11 +585,15 @@ class HypothesisGenerator:
 
             yield from pick(0, ())
 
-    def _passes(self, h: Hypothesis) -> bool:
+    def _passes(self, h: Hypothesis, matched: bool) -> bool:
         """Whether h survives every stored constraint; under audit, a
-        rejection by a pointless constraint alone is recorded."""
+        rejection by a pointless constraint alone is recorded.  A one-rule
+        h that the pool filter has matched against the same store
+        (matched) needs no second pointless check."""
         if self.store.violated_non_pointless(h):
             return False
+        if matched:
+            return True
         t0 = time.perf_counter()
         pv = self.store.first_pointless_violation(h)
         self.time_pointless_match += time.perf_counter() - t0
@@ -595,10 +604,10 @@ class HypothesisGenerator:
         return False
 
     def _stream(self, size: int) -> Iterator[Hypothesis]:
-        for h in self._candidates(size):
+        for h, matched in self._candidates(size):
             check_deadline(self.deadline)
             self.considered += 1
-            if self._passes(h):
+            if self._passes(h, matched):
                 self.emitted += 1
                 yield h
 

@@ -12,7 +12,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from .datalog import FactStore, PredKey, covers_rule, least_model
+from .datalog import CoveragePack, FactStore, PredKey, covers_rule, least_model
 from .deadline import DeadlineExceeded
 from .generate import (
     AuditRecord,
@@ -62,6 +62,8 @@ class Stats:
     evidence: dict = field(default_factory=lambda: {"reducible": 0, "indiscriminate": 0})
     detect_subsumed: int = 0  # detections skipped: a specialisation constraint covers them
     detect_futile: int = 0  # detections skipped: their constraints could ban nothing
+    coverage_extensions: int = 0  # body literals the coverage packs joined to a batch of rows
+    fixpoints_skipped: int = 0  # recursive hypotheses no rule of which could fire
     time_total: float = 0.0
     time_detection: float = 0.0
     time_testing: float = 0.0
@@ -103,11 +105,22 @@ class CoverageTester:
     the rule as given: the generator builds every rule in canonical form,
     so it never offers two renamings of one rule.
 
-    Non-recursive hypotheses are tested by OR-ing cached per-rule coverage
-    bitmasks over the background model; recursive ones extend the cached
-    background model with the fixpoint of the hypothesis's rules.  Building
-    the background model and extending it raise DeadlineExceeded past the
-    deadline (a time.perf_counter value).
+    A non-recursive hypothesis is tested by OR-ing cached per-rule coverage
+    bitmasks over the background model.  A rule missing from the cache is
+    answered by the coverage pack of its head predicate's examples
+    (datalog.CoveragePack), one per predicate for the tester's lifetime,
+    which shares body-prefix joins between the rules of a stratum;
+    coverage_extensions counts the body literals the packs joined.
+
+    A recursive hypothesis needs the fixpoint of its rules over the
+    background model, but only of the rules that can fire: a rule whose
+    body needs a predicate with no background facts that no firable rule
+    derives never does.  When none can, the hypothesis covers what the
+    background model covers and no fixpoint runs (counted in
+    fixpoints_skipped); otherwise the examples of the derived predicates
+    are looked up among the fixpoint's fact tuples.  Building the
+    background model, extending it and the packs' joins raise
+    DeadlineExceeded past the deadline (a time.perf_counter value).
     """
 
     def __init__(self, bk: Sequence[Rule], pos: Sequence[Literal], neg: Sequence[Literal],
@@ -119,15 +132,16 @@ class CoverageTester:
         self.model = least_model(self.bk, deadline=deadline)
         self.base_pos = self._mask(self.pos, self.model)
         self.base_neg = self._mask(self.neg, self.model)
+        self.fixpoints_skipped = 0
         self._rule_cache: dict[Rule, tuple[int, int]] = {}
-        # per head predicate: its examples, positives first, and their bits
-        # in the positive and in the negative mask
-        self._groups: dict[PredKey, tuple[list[Literal], list[int], list[int]]] = {}
+        # per head predicate: the coverage pack of its examples, positives
+        # first, and their bits in the positive and in the negative mask
+        self._groups: dict[PredKey, tuple[CoveragePack, list[int], list[int]]] = {}
         for key in {e.pred_key for e in (*self.pos, *self.neg)}:
             pos_at = [i for i, e in enumerate(self.pos) if e.pred_key == key]
             neg_at = [i for i, e in enumerate(self.neg) if e.pred_key == key]
             examples = [self.pos[i] for i in pos_at] + [self.neg[i] for i in neg_at]
-            self._groups[key] = (examples, pos_at, neg_at)
+            self._groups[key] = (CoveragePack(self.model, examples, deadline), pos_at, neg_at)
 
     @staticmethod
     def _mask(examples: Sequence[Literal], model: FactStore) -> int:
@@ -137,6 +151,17 @@ class CoverageTester:
                 mask |= 1 << i
         return mask
 
+    @property
+    def coverage_extensions(self) -> int:
+        return sum(pack.extensions for pack, _, _ in self._groups.values())
+
+    @staticmethod
+    def _place(group, covered: int) -> tuple[int, int]:
+        """A group's coverage bitmask moved to its bits in the positive
+        and in the negative mask."""
+        _, pos_at, neg_at = group
+        return (_spread(covered, pos_at), _spread(covered >> len(pos_at), neg_at))
+
     def rule_masks(self, rule: Rule) -> tuple[int, int]:
         cached = self._rule_cache.get(rule)
         if cached is not None:
@@ -144,9 +169,8 @@ class CoverageTester:
         masks = (0, 0)
         group = self._groups.get(rule.head.pred_key)
         if group is not None:
-            examples, pos_at, neg_at = group
-            covered = covers_rule(self.model, rule, examples)
-            masks = (_spread(covered, pos_at), _spread(covered >> len(pos_at), neg_at))
+            pack = group[0]
+            masks = self._place(group, covers_rule(self.model, rule, pack.examples, pack))
         self._rule_cache[rule] = masks
         return masks
 
@@ -155,11 +179,44 @@ class CoverageTester:
         heads = {r.head.pred_key for r in h}
         return any(lit.pred_key in heads for r in h for lit in r.body)
 
+    def _firable(self, h: Hypothesis) -> list[Rule]:
+        """The rules of h that may fire: each body predicate has background
+        facts or is derived by a rule of h that may fire."""
+        pending = list(h)
+        firable: list[Rule] = []
+        derived: set[PredKey] = set()
+        grew = True
+        while grew:
+            grew = False
+            for rule in list(pending):
+                if all(lit.pred_key in derived or self.model.tuples(lit.pred_key)
+                       for lit in rule.body):
+                    pending.remove(rule)
+                    firable.append(rule)
+                    derived.add(rule.head.pred_key)
+                    grew = True
+        return firable
+
     def masks(self, h: Hypothesis) -> tuple[int, int]:
-        if self._is_recursive(h):
-            model = least_model(h, base=self.model, deadline=self.deadline)
-            return (self._mask(self.pos, model), self._mask(self.neg, model))
         pm, nm = self.base_pos, self.base_neg
+        if self._is_recursive(h):
+            rules = self._firable(h)
+            if not rules:
+                self.fixpoints_skipped += 1
+                return (pm, nm)
+            model = least_model(rules, base=self.model, deadline=self.deadline)
+            for key in {r.head.pred_key for r in rules}:
+                group = self._groups.get(key)
+                if group is not None:
+                    facts = model.tuples(key)
+                    covered = 0
+                    for i, args in enumerate(group[0].args):
+                        if args in facts:
+                            covered |= 1 << i
+                    rp, rn = self._place(group, covered)
+                    pm |= rp
+                    nm |= rn
+            return (pm, nm)
         for rule in h:
             rp, rn = self.rule_masks(rule)
             pm |= rp
@@ -238,6 +295,7 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
     best_score: Optional[CostScore] = CostScore(len(task.pos), 0)
     evidence_log: list[PointlessEvidence] = []
     termination = EXHAUSTED
+    tester: Optional[CoverageTester] = None
 
     def finish() -> LearnResult:
         stats.generated = gen.emitted
@@ -246,6 +304,9 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
         stats.time_stratum = gen.time_stratum
         stats.time_pointless_match = gen.time_pointless_match
         stats.constraints = store.counts()
+        if tester is not None:
+            stats.coverage_extensions = tester.coverage_extensions
+            stats.fixpoints_skipped = tester.fixpoints_skipped
         stats.time_total = time.perf_counter() - t_start
         if termination == TIMEOUT and stats.tested == 0:
             return LearnResult(None, None, TIMEOUT, stats,

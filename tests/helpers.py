@@ -6,9 +6,9 @@ from __future__ import annotations
 import random
 from itertools import permutations, product
 
-from razor import Const, Literal, Rule, Var
+from razor import Const, Literal, Rule, Var, learn, least_model, search
 from razor.logic import Hypothesis, var_name
-from razor.taskio import parse_rules
+from razor.taskio import parse_rules, parse_task_strings
 
 
 def parse_rule(text: str) -> Rule:
@@ -108,3 +108,82 @@ def random_super_rules(task, rule: Rule, rng: random.Random, count: int):
             continue
         out.append(bigger)
     return out
+
+
+CHAIN_BIAS = """head_pred(reach,2).
+body_pred(edge,2).
+body_pred(link,2).
+body_pred(prev,2).
+max_vars(3).
+max_body(2).
+max_rules(2).
+enable_recursion.
+"""
+
+
+def chain_task(seed: int):
+    """A small transitive-closure task shaped like the recursive-chain
+    benchmark workload: ``edge`` is a chain of 30 nodes plus 30 forward
+    skips of 2-3 nodes, ``prev`` reverses it and ``link`` holds 15
+    random pairs.  The 12 positives are reachable pairs and the 12
+    negatives unreachable ones, so the optimum is the size-5 recursive
+    closure of ``edge``."""
+    n, examples = 30, 12
+    rng = random.Random(seed)
+    edges = {(i, i + 1) for i in range(n - 1)}
+    for _ in range(n):
+        a = rng.randrange(n - 3)
+        edges.add((a, a + rng.randint(2, 3)))
+    links = set()
+    while len(links) < n // 2:
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b:
+            links.add((a, b))
+    pos = set()
+    while len(pos) < examples:
+        a = rng.randrange(n - 1)
+        pos.add((a, min(n - 1, a + rng.choice((1, 2, 3, 5, 8)))))
+    neg = set(rng.sample(sorted((b, a) for a, b in edges), examples // 2))
+    while len(neg) < examples:
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a >= b:
+            neg.add((a, b))
+
+    def facts(pred, pairs):
+        return "".join(f"{pred}(n{a},n{b}).\n" for a, b in sorted(pairs))
+
+    bk = facts("edge", edges) + facts("link", links) + facts("prev", {(b, a) for a, b in edges})
+    exs = "".join(f"pos(reach(n{a},n{b})).\n" for a, b in sorted(pos))
+    exs += "".join(f"neg(reach(n{a},n{b})).\n" for a, b in sorted(neg))
+    return parse_task_strings(CHAIN_BIAS, bk, exs, name=f"chain-{seed}")
+
+
+def checked_learn(monkeypatch, task, config):
+    """Run learn with every covers_rule answer checked against the least
+    model of the rule over the background model, and every tested
+    recursive hypothesis's masks against the least model of background
+    and hypothesis together.  Returns the result and the number of
+    checks of each kind."""
+    real_covers, real_masks = search.covers_rule, search.CoverageTester.masks
+    rules, recursive = [], []
+
+    def covers_checked(store, rule, examples, pack=None):
+        mask = real_covers(store, rule, examples, pack)
+        model = least_model([rule], base=store)
+        assert mask == sum(1 << i for i, e in enumerate(examples) if model.contains(e)), rule
+        rules.append(rule)
+        return mask
+
+    def masks_checked(self, h):
+        masks = real_masks(self, h)
+        if self._is_recursive(h):
+            model = least_model([*self.bk, *h])
+            assert masks == (self._mask(self.pos, model), self._mask(self.neg, model)), h
+            recursive.append(h)
+        return masks
+
+    monkeypatch.setattr(search, "covers_rule", covers_checked)
+    monkeypatch.setattr(search.CoverageTester, "masks", masks_checked)
+    result = learn(task, config)
+    monkeypatch.undo()
+    return result, len(rules), len(recursive)

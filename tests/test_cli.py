@@ -82,6 +82,8 @@ def test_timeout_without_result_exit_code(capsys, fixtures_dir):
     (("learn", "TASK", "--timeout", "nan"), "--timeout"),
     (("bench", "TASK", "--out", "OUT", "--repeats", "0"), "--repeats"),
     (("bench", "TASK", "--out", "OUT", "--timeout", "-0.5"), "--timeout"),
+    (("oracle", "TASK", "--max-size", "-3"), "--max-size"),
+    (("oracle", "TASK", "--max-size", "1"), "--max-size"),
 ])
 def test_bad_numeric_flags_are_usage_errors(capsys, fixtures_dir, tmp_path, args, flag):
     argv = [str(fixtures_dir / "intro") if a == "TASK" else

@@ -6,20 +6,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import ground, lit, parse_hypothesis, parse_rule
+from helpers import chain_task, checked_learn, ground, lit, parse_hypothesis, parse_rule
 
 from razor import (
     Const,
+    LearnConfig,
     UnsafeRuleError,
     coverage,
     covers_rule,
     implies,
     least_model,
     least_model_naive,
+    parse_task,
     satisfying_substitutions,
     subrule,
 )
-from razor.datalog import FactStore, head_binding
+from razor.datalog import CoveragePack, FactStore, head_binding
 from razor.deadline import DeadlineExceeded
 from razor.reference import implies_by_refutation
 from razor.logic import Literal, Rule, Var, captured, concrete_key, is_safe
@@ -96,6 +98,18 @@ def test_least_model_checks_the_deadline_between_rounds():
     with pytest.raises(DeadlineExceeded):
         least_model(program[-2:], base=base, deadline=0.0)
     assert _fact_set(least_model(program[-2:], base=base)) == _fact_set(model)
+
+
+def test_first_round_builds_no_index_over_a_predicate_without_facts():
+    # the closure's whole-body join would look p/2 up by its first
+    # argument before any p fact exists, and every later round would
+    # keep that index up to date; the join derives nothing, so it is
+    # skipped and the delta pipelines need no index over p
+    chain = parse_rules(" ".join(f"e({i},{i + 1})." for i in range(10)))
+    closure = parse_rules("p(A,B) :- e(A,B). p(A,C) :- e(A,B), p(B,C).")
+    model = least_model(closure, base=least_model(chain))
+    assert len(model.tuples(("p", 2))) == 55
+    assert [pos for key, pos in model._pos_index if key == ("p", 2)] == []
 
 
 _BK_PREDS = (("e", 2), ("t", 3), ("u", 1), ("z", 0))
@@ -319,6 +333,126 @@ def test_covers_rule_mask_agrees_with_least_model_on_micro_strata(seed):
 def test_covers_rule_empty_example_list_is_zero(intro_model):
     assert covers_rule(intro_model, parse_rule("f(A) :- odd(A)."), []) == 0
     assert covers_rule(intro_model, parse_rule("f(A)."), []) == 0
+
+
+# ---------------------------------------------------------------------------
+# coverage packs
+# ---------------------------------------------------------------------------
+
+def _per_example_mask(store, rule, examples):
+    """Reference coverage: one satisfiability join of the body per example
+    whose atom the head matches."""
+    mask = 0
+    for i, e in enumerate(examples):
+        theta = head_binding(rule, e)
+        if theta is not None and \
+                next(satisfying_substitutions(store, rule.body, theta), None) is not None:
+            mask |= 1 << i
+    return mask
+
+
+_PACK_CONSTS = ("a", "b", "c", "d")
+_PACK_HEADS = (lit("f", "A", "B"), lit("f", "B", "A"), lit("f", "A", "A"),
+               lit("f", "A", "b"), lit("f", "a", "B"))
+_PACK_BODY = (lit("edge", "A", "B"), lit("edge", "A", "C"), lit("edge", "B", "C"),
+              lit("edge", "C", "C"), lit("edge", "A", "c"), lit("edge", "C", "A"),
+              lit("node", "C"), lit("node", "B"), lit("node", "a"))
+
+
+@st.composite
+def _pack_sequences(draw):
+    """A store of edge/2 and node/1 facts over four constants, and a
+    sequence of f/2 rules in which each drawn rule appears at least twice,
+    in another order the second time.  Heads repeat a variable or hold a
+    constant, bodies of zero to three literals repeat a variable inside a
+    literal (edge(C,C)), hold constants, may miss a head variable and
+    share prefixes in plan order with their neighbours."""
+    pairs = [(x, y) for x in _PACK_CONSTS for y in _PACK_CONSTS]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=10))
+    nodes = draw(st.sets(st.sampled_from(_PACK_CONSTS)))
+    store = FactStore([*(ground("edge", x, y) for x, y in edges),
+                       *(ground("node", x) for x in nodes)])
+    rule = st.builds(Rule, st.sampled_from(_PACK_HEADS),
+                     st.frozensets(st.sampled_from(_PACK_BODY), max_size=3))
+    rules = draw(st.lists(rule, min_size=1, max_size=10))
+    return store, rules + draw(st.permutations(rules))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pack_sequences())
+@example((FactStore([ground("edge", "a", "a"), ground("edge", "b", "c"), ground("node", "a")]),
+          [parse_rule("f(A,B) :- edge(A,C), edge(C,C)."),
+           parse_rule("f(A,B) :- edge(A,C), node(C)."),
+           parse_rule("f(A,A) :- edge(A,C), node(C)."),
+           parse_rule("f(A,B) :- edge(A,C)."),
+           parse_rule("f(A,b)."),
+           parse_rule("f(A,B) :- edge(A,C), edge(C,C).")]))
+def test_coverage_pack_matches_per_example_joins_on_any_rule_sequence(sequence):
+    # one pack answers the whole sequence, so a prefix state kept from an
+    # earlier rule that does not belong to the current one would show
+    store, rules = sequence
+    examples = [ground("f", x, y) for x in _PACK_CONSTS for y in _PACK_CONSTS]
+    pack = CoveragePack(store, examples)
+    for rule in rules:
+        assert covers_rule(store, rule, examples, pack) == \
+            _per_example_mask(store, rule, examples), rule
+    assert pack.extensions <= sum(len(r.body) for r in rules)
+
+
+def test_coverage_pack_is_tied_to_its_store_and_examples(intro_model):
+    examples = [ground("f", 3)]
+    pack = CoveragePack(intro_model, examples)
+    rule = parse_rule("f(A) :- odd(A).")
+    with pytest.raises(ValueError, match="pack"):
+        covers_rule(intro_model, rule, list(examples), pack)
+    with pytest.raises(ValueError, match="pack"):
+        covers_rule(FactStore(), rule, examples, pack)
+    assert covers_rule(intro_model, rule, examples, pack) == 1
+
+
+def test_coverage_pack_checks_the_deadline_between_extensions(intro_model):
+    examples = [ground("f", i) for i in range(1, 11)]
+    pack = CoveragePack(intro_model, examples, deadline=0.0)
+    # a single extension runs without a check
+    assert covers_rule(intro_model, parse_rule("f(A) :- odd(A)."), examples, pack) == 0b101010101
+    with pytest.raises(DeadlineExceeded):
+        covers_rule(intro_model, parse_rule("f(A) :- gt(A,3), odd(A)."), examples, pack)
+    # the prefix built before the deadline passed is kept and consistent
+    pack.deadline = None
+    assert covers_rule(intro_model, parse_rule("f(A) :- gt(A,3), odd(A)."), examples, pack) == \
+        0b101010000
+    assert pack.extensions == 3
+
+
+def test_coverage_pack_shares_the_prefixes_of_a_stratum(intro_task, intro_model):
+    # intro's size-4 stratum in generator order: each rule's parent prefix
+    # was built for an earlier rule, so most rules cost one extension
+    from razor import ConstraintStore, HypothesisGenerator
+
+    stratum = HypothesisGenerator(intro_task.bias, ConstraintStore()).rule_stratum(4)
+    examples = [*intro_task.pos, *intro_task.neg]
+    pack = CoveragePack(intro_model, examples)
+    for rule in stratum:
+        assert covers_rule(intro_model, rule, examples, pack) == \
+            _per_example_mask(intro_model, rule, examples), rule
+    assert len(stratum) < pack.extensions < 2 * len(stratum)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("name", ["intro", "transitive_gt", "eight_puzzle_mini", "trains_mini"])
+def test_coverage_pack_agrees_with_least_model_on_every_tested_fixture_rule(
+        fixtures_dir, monkeypatch, name, noisy):
+    task = parse_task(fixtures_dir / name)
+    _, rules, _ = checked_learn(monkeypatch, task, LearnConfig(noisy=noisy))
+    assert rules > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_coverage_pack_and_fixpoint_skip_agree_with_least_model_on_chain_tasks(
+        monkeypatch, seed):
+    result, rules, recursive = checked_learn(monkeypatch, chain_task(seed), LearnConfig())
+    assert result.best_score == (0, 5)
+    assert rules > 0 and recursive > result.stats.fixpoints_skipped > 0
 
 
 # ---------------------------------------------------------------------------

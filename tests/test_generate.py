@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -352,6 +353,24 @@ def test_emission_is_sound_against_violates(intro_task):
         for h in _drain(gen, size):
             for c in cons:
                 assert not violates(h, c), (h, c.kind)
+
+
+def test_constraint_added_mid_stream_binds_the_pools_already_read(intro_task):
+    # a pick of two rules of one size reads its filtered pool before the
+    # constraint arrives, so only the hypothesis-level check can reject
+    # the later pairs holding a rule the constraint matches
+    bias = dataclasses.replace(intro_task.bias, body_preds=(("odd", 1), ("int", 1), ("even", 1)),
+                               max_vars=1, max_body=2, max_rules=2, constants={})
+    con = _pointless_con(intro_task, "f(A) :- odd(A), int(A).")
+    free = _drain(HypothesisGenerator(bias, ConstraintStore()), 6)
+    first = next(i for i, h in enumerate(free) if violates(h, con))
+    assert len(free[first]) == 2
+    assert any(violates(h, con) for h in free[first + 1:])
+    store = ConstraintStore()
+    gen = HypothesisGenerator(bias, store)
+    assert [gen.next_hypothesis(6) for _ in range(first + 1)] == free[:first + 1]
+    store.add(con)
+    assert _drain(gen, 6) == [h for h in free[first + 1:] if not violates(h, con)]
 
 
 def test_monotone_pruning(intro_task):

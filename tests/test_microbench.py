@@ -1,10 +1,11 @@
 """Microbenchmarks of hot primitives.  The entailment primitives and
 least_model run on a store the size of a recursive-chain task: a 200-node
 chain with forward skips, its reverse and 100 random links.  Constraint
-matching runs over intro's size-4 stratum.  Each runs a fixed number of
-rounds, so the module stays under two seconds; nothing is saved unless
-pytest-benchmark is asked to (``--benchmark-autosave``).
-``--benchmark-disable`` runs each body once as a plain test."""
+matching, pack coverage, canonicalize and iter_renamings run over intro's
+strata.  Each runs a fixed number of rounds, so the module stays under
+four seconds; nothing is saved unless pytest-benchmark is asked to
+(``--benchmark-autosave``).  ``--benchmark-disable`` runs each body once
+as a plain test."""
 
 import random
 
@@ -13,8 +14,9 @@ import pytest
 from helpers import ground, lit, parse_rule
 
 from razor import Const, covers_rule, find_pointless, implies, least_model, parse_rules
-from razor.datalog import FactStore
+from razor.datalog import CoveragePack, FactStore
 from razor.generate import Constraint, ConstraintKind, ConstraintStore, HypothesisGenerator
+from razor.logic import canonicalize, iter_renamings
 from razor.search import CoverageTester
 
 pytest.importorskip("pytest_benchmark")
@@ -105,3 +107,51 @@ def test_bench_pointless_match_over_a_stratum(benchmark, intro_task):
     kept = benchmark.pedantic(unmatched, setup=fresh_store, rounds=SLOW_ROUNDS,
                               iterations=1, warmup_rounds=1)
     assert 0 < kept < len(stratum)
+
+
+@pytest.fixture(scope="module")
+def intro_strata(intro_task):
+    gen = HypothesisGenerator(intro_task.bias, ConstraintStore())
+    return gen.rule_stratum(3), gen.rule_stratum(4)
+
+
+def test_bench_pack_coverage_over_a_stratum(benchmark, intro_task, intro_strata):
+    # a rule_masks miss for every rule of intro's size-4 stratum, in
+    # generator order, on one pack per round, as a run fills its cache
+    model = CoverageTester(intro_task.bk, intro_task.pos, intro_task.neg).model
+    examples = [*intro_task.pos, *intro_task.neg]
+    _, stratum = intro_strata
+
+    def fresh_pack():
+        return (CoveragePack(model, examples),), {}
+
+    def masks(pack):
+        return [covers_rule(model, r, examples, pack) for r in stratum]
+
+    got = benchmark.pedantic(masks, setup=fresh_pack, rounds=SLOW_ROUNDS,
+                             iterations=1, warmup_rounds=1)
+    assert got == [covers_rule(model, r, examples) for r in stratum]
+    assert 0 < sum(m != 0 for m in got) < len(stratum)
+
+
+def test_bench_canonicalize_a_stratum(benchmark, intro_strata):
+    # the uncached function on every rule of intro's size-4 stratum, which
+    # the generator builds canonical
+    _, stratum = intro_strata
+    canon = canonicalize.__wrapped__
+    got = benchmark.pedantic(lambda: [canon(r) for r in stratum], rounds=SLOW_ROUNDS,
+                             iterations=1, warmup_rounds=1)
+    assert got == stratum
+
+
+def test_bench_iter_renamings_between_strata(benchmark, intro_strata):
+    # every renaming of each size-3 rule into every 40th size-4 rule, the
+    # search a pointless constraint's match runs
+    smaller, larger = intro_strata
+    pairs = [(p, r) for p in smaller for r in larger[::40]]
+
+    def renamings():
+        return sum(1 for p, r in pairs for _ in iter_renamings(p, r))
+
+    found = benchmark.pedantic(renamings, rounds=SLOW_ROUNDS, iterations=1, warmup_rounds=1)
+    assert 0 < found < len(pairs)
