@@ -17,7 +17,9 @@ kinds of join run on them:
   the rows of each body prefix are kept for the next rule that shares
   it.  Over a stratum, whose rules arrive in that order, a rule costs
   about one extension: its last literal, joined to its parent prefix's
-  rows only to learn which rows some fact matches.
+  rows only to learn which rows some fact matches.  A literal that no
+  bound variable reaches waits until one does, so no example is crossed
+  with a whole predicate.
 - The fixpoint rounds of ``least_model`` run set at a time: each rule
   body, once per body position a delta can feed, is compiled into a
   pipeline of steps with a static join order, and every step joins a
@@ -607,19 +609,29 @@ class CoveragePack:
 
     A rule's body is taken in plan order (sorted by concrete_key).  A row
     is an example index followed by the values of the variables bound so
-    far: the head's, then each body literal's new ones, in order of first
-    occurrence.  The pack keeps the rows that match the last rule's head
-    and the rows that survive each proper prefix of its body, set at a
+    far: the head's, then each joined literal's new ones, in order of
+    first occurrence.  The pack keeps the rows that match the last rule's
+    head and the state after each proper prefix of its body, set at a
     time.  A rule with the same head starts from the deepest body prefix
     it shares with that rule, so a stratum, whose rules arrive in
     concrete-rank order and share their prefixes with their neighbours,
     costs about one extension per rule: its last literal, joined only to
-    learn which rows some fact matches.  Head constants, repeated head
-    variables and head variables missing from the body are settled by the
-    head match, and repeated body variables by the extension's checks.
-    Past the deadline (a time.perf_counter value), checked between
-    extensions, a query raises DeadlineExceeded and leaves the kept states
-    consistent."""
+    learn which rows some fact matches.
+
+    A literal none of whose variables is bound yet (such as car(B) before
+    has_car(A,B)) would cross every row with every matching fact, so a
+    state defers it instead: it is joined once a later literal binds one
+    of its variables, and the deferred literals no literal ever binds are
+    checked for a solution of their own when the rule is answered.  What a
+    state keeps is then the rows of the body literals linked to the head,
+    and their number grows with the fan-out of those literals: the pack
+    pays off when each example has few bindings per prefix.
+
+    Head constants, repeated head variables and head variables missing
+    from the body are settled by the head match, and repeated body
+    variables by the extension's checks.  Past the deadline (a
+    time.perf_counter value), checked between prefix extensions, a query
+    raises DeadlineExceeded and leaves the kept states consistent."""
 
     def __init__(self, store: FactStore, examples: Sequence[Literal],
                  deadline: Optional[float] = None):
@@ -630,8 +642,10 @@ class CoveragePack:
         self.args = [tuple([t.name for t in e.args]) for e in examples]  # as fact tuples
         self._head: Optional[Literal] = None
         self._lits: list[Literal] = []  # the body prefix the states cover
-        # _states[k]: slots and rows after the head and the first k literals
-        self._states: list[tuple[dict[str, int], list[Row]]] = []
+        # _states[k]: slots, rows and deferred literals (with their
+        # variables) after the head and the first k literals
+        self._states: list[tuple[dict[str, int], list[Row],
+                                 tuple[tuple[Literal, frozenset[str]], ...]]] = []
 
     def mask(self, rule: Rule) -> int:
         """The bitmask of the examples (bit i for examples[i]) that the rule
@@ -645,16 +659,18 @@ class CoveragePack:
             k += 1
         del self._lits[k:], self._states[k + 1:]
         while k < last:
-            slots, rows = self._states[k]
-            slots = dict(slots)
-            rows = self._extend(slots, rows, body[k], keep=True)
+            self._states.append(self._join(self._states[k], body[k], keep=True))
             self._lits.append(body[k])
-            self._states.append((slots, rows))
             k += 1
             check_deadline(self.deadline)
-        slots, rows = self._states[k]
+        state = self._states[k]
         if body:
-            rows = self._extend(dict(slots), rows, body[k], keep=False)
+            state = self._join(state, body[k], keep=False)
+        _, rows, deferred = state
+        if deferred:
+            plan = _plan(frozenset([w for w, _ in deferred]))
+            if not _satisfiable(self.store, plan.body, plan.binding()):
+                return 0
         mask = 0
         for i in {row[0] for row in rows}:
             mask |= 1 << i
@@ -682,7 +698,28 @@ class CoveragePack:
                 if all(e[j] == c for j, c in checks) and all(e[j] == e[q] for j, q in repeats)]
         self._head = head
         self._lits = []
-        self._states = [(slots, rows)]
+        self._states = [(slots, rows, ())]
+
+    def _join(self, state, lit: Literal, keep: bool):
+        """The state joined to the literal: deferred when none of its
+        variables is bound, otherwise joined, followed by every deferred
+        literal that the new bindings reach.  Without keep and with nothing
+        deferred, the rows are those some fact matches, unextended."""
+        slots, rows, deferred = state
+        slots = dict(slots)
+        keep = keep or bool(deferred)
+        waiting = list(deferred)
+        ready = [(lit, lit.vars())]
+        while ready:
+            lit, names = ready.pop(0)
+            if names and names.isdisjoint(slots):
+                waiting.append((lit, names))
+                continue
+            rows = self._extend(slots, rows, lit, keep)
+            if waiting:
+                ready += [w for w in waiting if not names.isdisjoint(w[1])]
+                waiting = [w for w in waiting if names.isdisjoint(w[1])]
+        return slots, rows, tuple(waiting)
 
     def _extend(self, slots: dict[str, int], rows: list[Row], lit: Literal,
                 keep: bool) -> list[Row]:

@@ -562,16 +562,13 @@ class HypothesisGenerator:
                     continue
             yield r
 
-    def _candidates(self, size: int) -> Iterator[tuple[Hypothesis, bool]]:
-        """Every hypothesis of the size, with whether the pool filter has
-        just matched its one rule against the store as it stands."""
+    def _candidates(self, size: int) -> Iterator[Hypothesis]:
         filter_rules = not self.bias.recursion and not self.audit
         for groups in rule_groups(size, self.bias.max_rules):
-            matched = filter_rules and groups == ((size, 1),)
 
             def pick(gi: int, chosen: tuple[Rule, ...]) -> Iterator[Hypothesis]:
                 if gi == len(groups):
-                    yield frozenset(chosen), matched
+                    yield frozenset(chosen)
                     return
                 part, count = groups[gi]
                 pool = self.rule_stratum(part)
@@ -585,14 +582,14 @@ class HypothesisGenerator:
 
             yield from pick(0, ())
 
-    def _passes(self, h: Hypothesis, matched: bool) -> bool:
+    def _passes(self, h: Hypothesis) -> bool:
         """Whether h survives every stored constraint; under audit, a
         rejection by a pointless constraint alone is recorded.  A one-rule
-        h that the pool filter has matched against the same store
-        (matched) needs no second pointless check."""
+        h needs no second pointless check when the pool filter has just
+        matched its rule against the same store."""
         if self.store.violated_non_pointless(h):
             return False
-        if matched:
+        if len(h) == 1 and not self.bias.recursion and not self.audit:
             return True
         t0 = time.perf_counter()
         pv = self.store.first_pointless_violation(h)
@@ -604,10 +601,10 @@ class HypothesisGenerator:
         return False
 
     def _stream(self, size: int) -> Iterator[Hypothesis]:
-        for h, matched in self._candidates(size):
+        for h in self._candidates(size):
             check_deadline(self.deadline)
             self.considered += 1
-            if self._passes(h, matched):
+            if self._passes(h):
                 self.emitted += 1
                 yield h
 

@@ -63,7 +63,6 @@ class Stats:
     detect_subsumed: int = 0  # detections skipped: a specialisation constraint covers them
     detect_futile: int = 0  # detections skipped: their constraints could ban nothing
     coverage_extensions: int = 0  # body literals the coverage packs joined to a batch of rows
-    fixpoints_skipped: int = 0  # recursive hypotheses no rule of which could fire
     time_total: float = 0.0
     time_detection: float = 0.0
     time_testing: float = 0.0
@@ -112,15 +111,11 @@ class CoverageTester:
     which shares body-prefix joins between the rules of a stratum;
     coverage_extensions counts the body literals the packs joined.
 
-    A recursive hypothesis needs the fixpoint of its rules over the
-    background model, but only of the rules that can fire: a rule whose
-    body needs a predicate with no background facts that no firable rule
-    derives never does.  When none can, the hypothesis covers what the
-    background model covers and no fixpoint runs (counted in
-    fixpoints_skipped); otherwise the examples of the derived predicates
-    are looked up among the fixpoint's fact tuples.  Building the
-    background model, extending it and the packs' joins raise
-    DeadlineExceeded past the deadline (a time.perf_counter value).
+    A recursive hypothesis extends the background model with the fixpoint
+    of its rules, and the examples of its head predicates are looked up
+    among the fixpoint's fact tuples.  Building the background model,
+    extending it and the packs' joins raise DeadlineExceeded past the
+    deadline (a time.perf_counter value).
     """
 
     def __init__(self, bk: Sequence[Rule], pos: Sequence[Literal], neg: Sequence[Literal],
@@ -132,7 +127,6 @@ class CoverageTester:
         self.model = least_model(self.bk, deadline=deadline)
         self.base_pos = self._mask(self.pos, self.model)
         self.base_neg = self._mask(self.neg, self.model)
-        self.fixpoints_skipped = 0
         self._rule_cache: dict[Rule, tuple[int, int]] = {}
         # per head predicate: the coverage pack of its examples, positives
         # first, and their bits in the positive and in the negative mask
@@ -179,33 +173,11 @@ class CoverageTester:
         heads = {r.head.pred_key for r in h}
         return any(lit.pred_key in heads for r in h for lit in r.body)
 
-    def _firable(self, h: Hypothesis) -> list[Rule]:
-        """The rules of h that may fire: each body predicate has background
-        facts or is derived by a rule of h that may fire."""
-        pending = list(h)
-        firable: list[Rule] = []
-        derived: set[PredKey] = set()
-        grew = True
-        while grew:
-            grew = False
-            for rule in list(pending):
-                if all(lit.pred_key in derived or self.model.tuples(lit.pred_key)
-                       for lit in rule.body):
-                    pending.remove(rule)
-                    firable.append(rule)
-                    derived.add(rule.head.pred_key)
-                    grew = True
-        return firable
-
     def masks(self, h: Hypothesis) -> tuple[int, int]:
         pm, nm = self.base_pos, self.base_neg
         if self._is_recursive(h):
-            rules = self._firable(h)
-            if not rules:
-                self.fixpoints_skipped += 1
-                return (pm, nm)
-            model = least_model(rules, base=self.model, deadline=self.deadline)
-            for key in {r.head.pred_key for r in rules}:
+            model = least_model(h, base=self.model, deadline=self.deadline)
+            for key in {r.head.pred_key for r in h}:
                 group = self._groups.get(key)
                 if group is not None:
                     facts = model.tuples(key)
@@ -306,7 +278,6 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
         stats.constraints = store.counts()
         if tester is not None:
             stats.coverage_extensions = tester.coverage_extensions
-            stats.fixpoints_skipped = tester.fixpoints_skipped
         stats.time_total = time.perf_counter() - t_start
         if termination == TIMEOUT and stats.tested == 0:
             return LearnResult(None, None, TIMEOUT, stats,

@@ -37,9 +37,10 @@ def test_learn_writes_versioned_stats(capsys, fixtures_dir, tmp_path):
     assert record["config"]["seed"] == 7
     for field in ("generated", "considered", "tested", "time_total", "time_detection",
                   "time_testing", "time_stratum", "time_pointless_match", "constraints",
-                  "evidence", "detect_subsumed", "detect_futile", "overhead_fraction",
-                  "pruning_overhead_fraction"):
+                  "evidence", "detect_subsumed", "detect_futile", "coverage_extensions",
+                  "overhead_fraction", "pruning_overhead_fraction"):
         assert field in record["stats"]
+    assert record["stats"]["coverage_extensions"] > 0
 
 
 def test_learn_pointless_flag_values(capsys, fixtures_dir):

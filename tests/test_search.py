@@ -161,27 +161,20 @@ def test_recursive_testing_checks_the_deadline():
     assert tester.masks(parse_hypothesis("p(A,B) :- e(A,B).")) == (0b100, 0)
 
 
-def test_recursive_hypothesis_runs_a_fixpoint_only_over_rules_that_can_fire(monkeypatch):
+def test_recursive_hypothesis_masks_come_from_its_fixpoint():
     # b/2 has no facts and nothing derives it, so the rule needing it
     # never fires; a lone recursive rule needs p, which only it derives
     task = parse_task_strings(
         "head_pred(p,2). body_pred(e,2). body_pred(b,2). max_vars(3). max_body(2). "
         "max_rules(2). enable_recursion.", *_CHAIN_TASK[1:])
     tester = CoverageTester(task.bk, task.pos, task.neg)
-    programs = []
-    real = search.least_model
-    monkeypatch.setattr(search, "least_model",
-                        lambda rules, **kw: programs.append(set(rules)) or real(rules, **kw))
     base = parse_hypothesis("p(A,B) :- e(A,B).")
     blocked = parse_hypothesis("p(A,B) :- b(A,C), p(C,B).")
     recursive = parse_hypothesis("p(A,B) :- e(A,C), p(C,B).")
     assert tester.masks(recursive) == tester.masks(blocked) == (0, 0)
     assert tester.masks(recursive | blocked) == (0, 0)
-    assert tester.fixpoints_skipped == 3 and programs == []
     assert tester.masks(base | blocked) == (0b100, 0)
     assert tester.masks(base | recursive) == (0b111, 0)
-    assert programs == [set(base), set(base | recursive)]
-    assert tester.fixpoints_skipped == 3
 
 
 def test_learn_times_out_when_testing_passes_the_deadline(monkeypatch):
@@ -538,11 +531,11 @@ def test_one_rule_slot_matches_no_rule_past_the_optimum(intro_task, monkeypatch)
 def test_recursion_enabled_micro_tasks_match_oracle(monkeypatch):
     # the audited recursive micro suite, seeds 1-50 noiseless and seeds
     # 1-10 also with a tenth of the labels flipped (noisy mode, which runs
-    # to the size bound): every tested recursive hypothesis's masks,
-    # fixpoint skipped or not, equal the least model's
+    # to the size bound): every tested recursive hypothesis's masks equal
+    # the least model's
     from razor.oracle import oracle_optimal
 
-    recursive = skipped = 0
+    recursive = 0
     for seed in range(1, 51):
         for noisy in (False, True) if seed <= 10 else (False,):
             mt = random_task(seed, recursion=True)
@@ -553,8 +546,7 @@ def test_recursion_enabled_micro_tasks_match_oracle(monkeypatch):
             assert result.best_score == best, (seed, noisy)
             assert verify_audit(task, result) == [], (seed, noisy)
             recursive += checked
-            skipped += result.stats.fixpoints_skipped
-    assert recursive > skipped > 0
+    assert recursive > 0
 
 
 def test_audit_blocked_candidates_score_no_better_than_optimum(intro_task):
