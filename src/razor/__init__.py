@@ -9,7 +9,6 @@ from .datalog import (
     covers_rule,
     implies,
     least_model,
-    satisfying_substitutions,
 )
 from .generate import (
     AuditRecord,
@@ -49,6 +48,7 @@ from .reference import (
     coverage,
     is_indiscriminate,
     least_model_naive,
+    satisfying_substitutions,
     sub_hypothesis,
     violates,
 )

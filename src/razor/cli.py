@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="brute-force certified optimum")
     p_oracle.add_argument("task")
     p_oracle.add_argument("--max-size", type=_at_least(int, 2), default=None)
-    p_oracle.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
+    p_oracle.add_argument("--ceiling", type=_at_least(int, 1), default=DEFAULT_CEILING)
 
     p_bench = sub.add_parser("bench", help="run the ablation harness on a suite")
     p_bench.add_argument("suite", help="directory of task directories")

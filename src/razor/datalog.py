@@ -4,9 +4,9 @@ entailment queries used for coverage testing and redundancy detection.
 Rule bodies are compiled into argument slots and constants, and three
 kinds of join run on them:
 
-- ``_solve`` serves the existential and enumeration queries of
-  redundancy detection (``implies``, ``satisfying_substitutions``): it
-  works tuple at a time on a binding list indexed by slot, picks the
+- ``_solve`` serves the existential queries of redundancy detection
+  (``implies``) and the enumeration of ``reference.satisfying_substitutions``:
+  it works tuple at a time on a binding list indexed by slot, picks the
   smallest index bucket per binding and stops at the first solution its
   caller wants.  ``implies`` plans its body once and runs one join of it
   and one bucket check per distinct body solution, never one check per
@@ -311,21 +311,6 @@ def _satisfiable(store: FactStore, lits: Sequence[CompiledLiteral], b: Binding) 
     found = next(_solve(store, lits, b), None) is not None
     b[:] = saved
     return found
-
-
-def satisfying_substitutions(
-    store: FactStore,
-    body: Iterable[Literal],
-    seed: Optional[Substitution] = None,
-) -> Iterator[Substitution]:
-    """All substitutions extending seed that ground every body literal to a
-    fact of the store.  An empty body yields the seed itself."""
-    plan = _plan(frozenset(body))
-    base: Substitution = dict(seed) if seed else {}
-    for b in _solve(store, plan.body, plan.binding(seed)):
-        theta = dict(base)
-        theta.update((name, Const(val)) for name, val in zip(plan.names, b))  # type: ignore[arg-type]
-        yield theta
 
 
 def _check_safe(rules: Iterable[Rule]) -> None:

@@ -391,21 +391,17 @@ class HypothesisGenerator:
     value) next_hypothesis raises DeadlineExceeded, and a later call for
     that size starts the size over.
 
-    Without recursion or audit, the rules a slot picks from are filtered
-    by the stored pointless constraints.  A slot of one rule checks each
-    rule when the enumeration reaches it, against the constraints stored
-    by then, so a search that stops early never matches the rest of the
-    stratum, and a one-rule hypothesis so checked skips the
-    hypothesis-level pointless check of _passes: no constraint can arrive
-    in between.  A slot of several rules filters its whole pool first, so
-    its hypotheses are checked again.
+    Every candidate meets the stored constraints in _passes: the
+    specialisation and generalisation constraints first, then the
+    pointless ones.  audit only decides whether a pointless rejection is
+    recorded, so an audited run takes the same path as a plain one.
 
     nodes_explored counts the bodies stratum assembly builds: every
     partial body it extends, the empty one included, and every complete
     body that is safe and connected, before the test against its
     renamings.  time_stratum is the seconds spent in assembly, and
-    time_pointless_match the seconds spent matching rules and hypotheses
-    against pointless constraints."""
+    time_pointless_match the seconds spent matching candidates against
+    pointless constraints."""
 
     def __init__(self, bias: Bias, store: ConstraintStore, audit: bool = False,
                  deadline: Optional[float] = None):
@@ -547,23 +543,7 @@ class HypothesisGenerator:
 
     # -- hypothesis-level enumeration ------------------------------------
 
-    def _unpruned(self, pool: list[Rule]) -> Iterator[Rule]:
-        """The rules of the pool that no stored pointless constraint
-        matches, each checked against the store as it is when the rule is
-        reached."""
-        store = self.store
-        for r in pool:
-            if store.count[ConstraintKind.POINTLESS_SUPER_RULE]:
-                check_deadline(self.deadline)
-                t0 = time.perf_counter()
-                matched = store.pointless_match(r) is not None
-                self.time_pointless_match += time.perf_counter() - t0
-                if matched:
-                    continue
-            yield r
-
     def _candidates(self, size: int) -> Iterator[Hypothesis]:
-        filter_rules = not self.bias.recursion and not self.audit
         for groups in rule_groups(size, self.bias.max_rules):
 
             def pick(gi: int, chosen: tuple[Rule, ...]) -> Iterator[Hypothesis]:
@@ -571,26 +551,16 @@ class HypothesisGenerator:
                     yield frozenset(chosen)
                     return
                 part, count = groups[gi]
-                pool = self.rule_stratum(part)
-                if filter_rules:
-                    pool = self._unpruned(pool)
-                # combinations reads its whole pool first; a one-rule slot
-                # filters each rule only when the enumeration reaches it
-                sels = ((r,) for r in pool) if count == 1 else combinations(pool, count)
-                for sel in sels:
+                for sel in combinations(self.rule_stratum(part), count):
                     yield from pick(gi + 1, chosen + sel)
 
             yield from pick(0, ())
 
     def _passes(self, h: Hypothesis) -> bool:
         """Whether h survives every stored constraint; under audit, a
-        rejection by a pointless constraint alone is recorded.  A one-rule
-        h needs no second pointless check when the pool filter has just
-        matched its rule against the same store."""
+        rejection by a pointless constraint alone is recorded."""
         if self.store.violated_non_pointless(h):
             return False
-        if len(h) == 1 and not self.bias.recursion and not self.audit:
-            return True
         t0 = time.perf_counter()
         pv = self.store.first_pointless_violation(h)
         self.time_pointless_match += time.perf_counter() - t0

@@ -1,17 +1,18 @@
 """Slow reference implementations kept apart from the hot path: the
 naive least model, whole-model coverage, refutation-first implication,
-the coverage-equality indiscriminate test, the per-constraint violation
-test and sub-hypothesis.  The tests check the fast queries of
+the enumeration of satisfying substitutions, the coverage-equality
+indiscriminate test, the per-constraint violation test and
+sub-hypothesis.  The tests check the fast queries of
 ``razor.datalog``, the ``ConstraintStore`` index and the detector against
 them; nothing on the learner's path imports this module."""
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .datalog import (Fact, FactStore, PredKey, _check_safe, covers_rule, least_model,
-                      satisfying_substitutions)
+from .datalog import (Fact, FactStore, PredKey, _check_safe, _plan, _solve, covers_rule,
+                      least_model)
 from .generate import Constraint, ConstraintKind, _pointless_match
 from .logic import (Const, Hypothesis, Literal, Rule, Substitution, apply_subst, is_basic,
                     renamed_subrule, subrule)
@@ -90,6 +91,21 @@ def coverage(bk: Iterable[Rule], h: Iterable[Rule],
     covered_pos = frozenset(e for e in pos if model.contains(e))
     covered_neg = frozenset(e for e in neg if model.contains(e))
     return Coverage(covered_pos, covered_neg, pos, neg)
+
+
+def satisfying_substitutions(
+    store: FactStore,
+    body: Iterable[Literal],
+    seed: Optional[Substitution] = None,
+) -> Iterator[Substitution]:
+    """All substitutions extending seed that ground every body literal to a
+    fact of the store.  An empty body yields the seed itself."""
+    plan = _plan(frozenset(body))
+    base: Substitution = dict(seed) if seed else {}
+    for b in _solve(store, plan.body, plan.binding(seed)):
+        theta = dict(base)
+        theta.update((name, Const(val)) for name, val in zip(plan.names, b))  # type: ignore[arg-type]
+        yield theta
 
 
 def implies_by_refutation(

@@ -287,72 +287,55 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
 
     try:
         tester = CoverageTester(task.bk, task.pos, task.neg, deadline)
-    except DeadlineExceeded:
-        termination = TIMEOUT
-        return finish()
-
-    for size in range(2, max_size + 1):
-        while True:
-            try:
-                h = gen.next_hypothesis(size)
-            except DeadlineExceeded:
-                termination = TIMEOUT
-                return finish()
-            if h is None:
-                break
-
-            t0 = time.perf_counter()
-            try:
+        for size in range(2, max_size + 1):
+            while (h := gen.next_hypothesis(size)) is not None:
+                t0 = time.perf_counter()
                 pm, nm = tester.masks(h)
-            except DeadlineExceeded:
-                termination = TIMEOUT
-                return finish()
-            stats.time_testing += time.perf_counter() - t0
-            stats.tested += 1
-            fn = len(tester.pos) - pm.bit_count()
-            fp = nm.bit_count()
-            h_score = CostScore(fn + fp, hypothesis_size(h))
+                stats.time_testing += time.perf_counter() - t0
+                stats.tested += 1
+                fn = len(tester.pos) - pm.bit_count()
+                fp = nm.bit_count()
+                h_score = CostScore(fn + fp, hypothesis_size(h))
 
-            if best_score is None or h_score < best_score:
-                best, best_score = h, h_score
+                if best_score is None or h_score < best_score:
+                    best, best_score = h, h_score
 
-            if h_score.errors == 0:
-                termination = PERFECT
-                return finish()
+                if h_score.errors == 0:
+                    termination = PERFECT
+                    return finish()
 
-            for c in build_cons(h, fn, fp, config.noisy, bias.max_rules):
-                store.add(c)
+                for c in build_cons(h, fn, fp, config.noisy, bias.max_rules):
+                    store.add(c)
 
-            if config.pointless is DetectMode.OFF:
-                continue
-            if not config.noisy and bias.max_rules == 1 and fn > 0:
-                # h's specialisation constraint already bans every
-                # hypothesis whose one rule contains a renaming of h's rule,
-                # which is all a pointless constraint from h could ban
-                stats.detect_subsumed += 1
-                continue
-            if detection_is_futile(h, bias.max_rules, bias.max_body, max_size):
-                stats.detect_futile += 1
-                continue
-            t0 = time.perf_counter()
-            try:
+                if config.pointless is DetectMode.OFF:
+                    continue
+                if not config.noisy and bias.max_rules == 1 and fn > 0:
+                    # h's specialisation constraint already bans every
+                    # hypothesis whose one rule contains a renaming of h's
+                    # rule, which is all a pointless constraint from h
+                    # could ban
+                    stats.detect_subsumed += 1
+                    continue
+                if detection_is_futile(h, bias.max_rules, bias.max_body, max_size):
+                    stats.detect_futile += 1
+                    continue
+                t0 = time.perf_counter()
                 found = find_pointless(
                     tester.model, h, neg, domain,
                     mode=config.pointless,
                     exhaustive=config.exhaustive_evidence,
                     deadline=deadline,
                 )
-            except DeadlineExceeded:
-                termination = TIMEOUT
-                return finish()
-            stats.time_detection += time.perf_counter() - t0
-            for ev in found:
-                evidence_log.append(ev)
-                stats.evidence[ev.kind.value] += 1
-                store.add(Constraint(
-                    ConstraintKind.POINTLESS_SUPER_RULE, evidence=ev))
-
-    termination = EXHAUSTED
+                stats.time_detection += time.perf_counter() - t0
+                for ev in found:
+                    evidence_log.append(ev)
+                    stats.evidence[ev.kind.value] += 1
+                    store.add(Constraint(
+                        ConstraintKind.POINTLESS_SUPER_RULE, evidence=ev))
+    except DeadlineExceeded:
+        # building the tester, generating, testing or detecting ran past
+        # the deadline; the timers above count only completed calls
+        termination = TIMEOUT
     return finish()
 
 

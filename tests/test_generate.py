@@ -440,7 +440,7 @@ def test_deadline_never_leaves_a_partial_stratum(intro_task):
     assert _drain(gen, 3) == _drain(fresh, 3)
 
 
-def test_pool_filter_checks_the_deadline(intro_task, monkeypatch):
+def test_deadline_fires_before_any_candidate_is_matched(intro_task, monkeypatch):
     store = ConstraintStore()
     store.add(_pointless_con(intro_task, "f(A) :- odd(A), int(A)."))
     gen = HypothesisGenerator(intro_task.bias, store)

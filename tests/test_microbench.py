@@ -83,9 +83,10 @@ def test_bench_least_model_chain_closure(benchmark, chain):
 
 
 def test_bench_pointless_match_over_a_stratum(benchmark, intro_task):
-    # the pool filter's work on intro's size-4 stratum, against the
-    # pointless constraints that exhaustive detection finds in its size-3
-    # stratum; each round starts from a fresh store, as a run does
+    # matching every rule of intro's size-4 stratum against the pointless
+    # constraints that exhaustive detection finds in its size-3 stratum,
+    # as the generator's pointless check does; each round starts from a
+    # fresh store, as a run does
     gen = HypothesisGenerator(intro_task.bias, ConstraintStore())
     model = CoverageTester(intro_task.bk, intro_task.pos, intro_task.neg).model
     domain = list(intro_task.constant_domain)
