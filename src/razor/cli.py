@@ -20,6 +20,7 @@ from .taskio import (
     TaskError,
     parse_rules,
     parse_task,
+    read_text,
     render_evidence,
     render_hypothesis,
 )
@@ -134,7 +135,7 @@ def _cmd_learn(args) -> int:
 
 def _cmd_check(args) -> int:
     task = parse_task(args.task)
-    rules = parse_rules(Path(args.rules).read_text(), task, path=str(args.rules))
+    rules = parse_rules(read_text(args.rules), task, path=str(args.rules))
     tester = CoverageTester(task.bk, task.pos, task.neg)
     findings = find_pointless(
         tester.model,

@@ -9,6 +9,7 @@ grammar round-trips: parse(render(h)) == h for canonical hypotheses.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -55,47 +56,15 @@ class TaskError(Exception):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<neck>:-)
-  | (?P<punct>[().,\[\]])
+    \s+ | %[^\n]*
+  | (?P<punct>:-|[().,\[\]])
   | (?P<int>\d+)
   | (?P<atom>[a-z][A-Za-z0-9_]*)
   | (?P<var>[A-Z_][A-Za-z0-9_]*)
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str, path: str) -> list[Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise TaskError(f"unexpected character {text[i]!r}", path, line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tok_kind = "punct" if kind in ("neck", "punct") else kind
-            tokens.append(Token(tok_kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        i = m.end()
-    return tokens
 
 
 @dataclass(frozen=True)
@@ -134,99 +103,98 @@ class ParsedLiteral:
 class ParsedClause:
     head: ParsedLiteral
     body: tuple[ParsedLiteral, ...]
-    line: int
-    col: int
 
 
 class _Parser:
+    """Recursive descent over (kind, text, offset) tokens.  Whitespace and
+    comments make no token, and a last ``end`` token, placed at the last
+    real token, stands for the end of input."""
+
     def __init__(self, text: str, path: str):
         self.path = path
-        self.tokens = _tokenize(text, path)
+        self.line_starts = [0, *(m.end() for m in re.finditer("\n", text))]
+        self.tokens = [(m.lastgroup, m.group(), m.start())
+                       for m in _TOKEN_RE.finditer(text) if m.lastgroup]
+        for kind, value, offset in self.tokens:
+            if kind == "bad":
+                raise self._error(f"unexpected character {value!r}", offset)
+        self.tokens.append(("end", "", self.tokens[-1][2] if self.tokens else 0))
         self.i = 0
 
-    def _peek(self) -> Optional[Token]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def _where(self, offset: int) -> tuple[int, int]:
+        """The 1-based line and column of a text offset."""
+        line = bisect_right(self.line_starts, offset)
+        return line, offset - self.line_starts[line - 1] + 1
 
-    def _next(self, expect: Optional[str] = None) -> Token:
-        tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            raise TaskError(
-                f"unexpected end of input{f', expected {expect!r}' if expect else ''}",
-                self.path,
-                last.line if last else 1,
-                last.col if last else 1,
-            )
-        if expect is not None and tok.text != expect:
-            raise TaskError(f"expected {expect!r}, found {tok.text!r}",
-                            self.path, tok.line, tok.col)
+    def _error(self, message: str, offset: int) -> TaskError:
+        return TaskError(message, self.path, *self._where(offset))
+
+    def _next(self, expect: Optional[str] = None) -> tuple[str, str, int]:
+        tok = kind, text, offset = self.tokens[self.i]
+        if kind == "end":
+            raise self._error(
+                f"unexpected end of input{f', expected {expect!r}' if expect else ''}", offset)
+        if expect is not None and text != expect:
+            raise self._error(f"expected {expect!r}, found {text!r}", offset)
         self.i += 1
         return tok
 
-    def _term(self) -> ParsedTerm:
-        tok = self._next()
-        if tok.kind == "var":
-            return Var(tok.text)
-        if tok.kind == "int":
-            return Const(tok.text)
-        if tok.kind == "atom":
-            nxt = self._peek()
-            if nxt is not None and nxt.text == "(":
-                self._next("(")
-                args = [self._term()]
-                while self._peek() is not None and self._peek().text == ",":
-                    self._next(",")
-                    args.append(self._term())
-                self._next(")")
-                return Compound(tok.text, tuple(args), tok.line, tok.col)
-            return Const(tok.text)
-        if tok.text == "[":
-            items: list[Const] = []
-            if self._peek() is not None and self._peek().text != "]":
-                while True:
-                    item = self._term()
-                    if not isinstance(item, Const):
-                        raise TaskError("constant lists may only contain constants",
-                                        self.path, tok.line, tok.col)
-                    items.append(item)
-                    if self._peek() is not None and self._peek().text == ",":
-                        self._next(",")
-                        continue
+    def _terms(self, close: str, list_at: Optional[int] = None) -> tuple:
+        """Comma-separated terms up to the ``close`` token.  ``list_at`` is
+        the offset of a constant list's '[': such a list may be empty, and
+        each item must be a constant."""
+        terms = []
+        # an empty list, or a '[' at the end of input that ']' must report
+        if list_at is None or self.tokens[self.i][1] not in (close, ""):
+            while True:
+                term = self._term()
+                if list_at is not None and not isinstance(term, Const):
+                    raise self._error("constant lists may only contain constants", list_at)
+                terms.append(term)
+                if self.tokens[self.i][1] != ",":
                     break
-            self._next("]")
-            return ConstList(tuple(items), tok.line, tok.col)
-        raise TaskError(f"expected a term, found {tok.text!r}",
-                        self.path, tok.line, tok.col)
+                self.i += 1
+        self._next(close)
+        return tuple(terms)
+
+    def _term(self) -> ParsedTerm:
+        kind, text, offset = self._next()
+        if kind == "var":
+            return Var(text)
+        if kind == "int":
+            return Const(text)
+        if kind == "atom":
+            if self.tokens[self.i][1] != "(":
+                return Const(text)
+            self.i += 1
+            return Compound(text, self._terms(")"), *self._where(offset))
+        if text == "[":
+            return ConstList(self._terms("]", offset), *self._where(offset))
+        raise self._error(f"expected a term, found {text!r}", offset)
 
     def _literal(self) -> ParsedLiteral:
-        tok = self._next()
-        if tok.kind != "atom":
-            raise TaskError(f"expected a predicate, found {tok.text!r}",
-                            self.path, tok.line, tok.col)
-        args: list[ParsedTerm] = []
-        if self._peek() is not None and self._peek().text == "(":
-            self._next("(")
-            args.append(self._term())
-            while self._peek() is not None and self._peek().text == ",":
-                self._next(",")
-                args.append(self._term())
-            self._next(")")
-        return ParsedLiteral(tok.text, tuple(args), tok.line, tok.col)
+        kind, text, offset = self._next()
+        if kind != "atom":
+            raise self._error(f"expected a predicate, found {text!r}", offset)
+        args = ()
+        if self.tokens[self.i][1] == "(":
+            self.i += 1
+            args = self._terms(")")
+        return ParsedLiteral(text, args, *self._where(offset))
 
     def clauses(self) -> list[ParsedClause]:
         out = []
-        while self._peek() is not None:
+        while self.tokens[self.i][0] != "end":
             head = self._literal()
             body: list[ParsedLiteral] = []
-            tok = self._peek()
-            if tok is not None and tok.text == ":-":
-                self._next(":-")
+            if self.tokens[self.i][1] == ":-":
+                self.i += 1
                 body.append(self._literal())
-                while self._peek() is not None and self._peek().text == ",":
-                    self._next(",")
+                while self.tokens[self.i][1] == ",":
+                    self.i += 1
                     body.append(self._literal())
             self._next(".")
-            out.append(ParsedClause(head, tuple(body), head.line, head.col))
+            out.append(ParsedClause(head, tuple(body)))
         return out
 
 
@@ -365,23 +333,23 @@ def parse_bk(text: str, bias: Bias, path: str = BK_FILE) -> list[Rule]:
             if cl.body:
                 raise TaskError(
                     f"the target predicate {head.pred}/{head.arity} may not be "
-                    "defined by background rules", path, cl.line, cl.col)
+                    "defined by background rules", path, cl.head.line, cl.head.col)
             if not bias.recursion:
                 raise TaskError(
                     f"background facts for the target predicate {head.pred}/"
-                    f"{head.arity} require enable_recursion", path, cl.line, cl.col)
+                    f"{head.arity} require enable_recursion", path, cl.head.line, cl.head.col)
         for lit in rule.body:
             if lit.pred_key == head_key:
                 raise TaskError(
                     f"the target predicate {lit.pred}/{lit.arity} may not occur "
-                    "in a background rule body", path, cl.line, cl.col)
+                    "in a background rule body", path, cl.head.line, cl.head.col)
 
         missing = unsafe_head_vars(rule)
         if missing:
             what = "fact" if not cl.body else "rule"
             raise TaskError(
                 f"unsafe background {what}: variable {missing[0]} does not "
-                "occur in the body", path, cl.line, cl.col)
+                "occur in the body", path, cl.head.line, cl.head.col)
         if rule not in seen:
             seen.add(rule)
             rules.append(rule)
@@ -426,25 +394,24 @@ def _example_atom(pl: ParsedLiteral, path: str, head: PredKey) -> Literal:
 def parse_examples(text: str, bias: Bias, path: str = EXS_FILE,
                    require_pos: bool = True) -> tuple[list[Literal], list[Literal]]:
     clauses = _Parser(text, path).clauses()
-    pos: list[Literal] = []
-    neg: list[Literal] = []
+    # dicts keep the first occurrence of a repeated example, in file order
+    pos: dict[Literal, None] = {}
+    neg: dict[Literal, None] = {}
     for cl in clauses:
         pl = cl.head
         if cl.body or pl.pred not in ("pos", "neg"):
             raise TaskError("example files contain only pos(...) and neg(...) facts",
                             path, pl.line, pl.col)
         atom = _example_atom(pl, path, bias.head)
-        target = pos if pl.pred == "pos" else neg
-        if atom not in target:
-            target.append(atom)
-    overlap = set(pos) & set(neg)
+        (pos if pl.pred == "pos" else neg)[atom] = None
+    overlap = pos.keys() & neg.keys()
     if overlap:
         atom = sorted(overlap, key=repr)[0]
         raise TaskError(f"example {atom!r} is labelled both positive and negative",
                         path)
     if require_pos and not pos:
         raise TaskError("at least one positive example is required", path)
-    return pos, neg
+    return list(pos), list(neg)
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +468,17 @@ def parse_task_strings(bias_text: str, bk_text: str, exs_text: str,
     return _build_task(name, name, bias_text, bk_text, exs_text, test_exs_text)
 
 
+def read_text(path: Union[str, Path]) -> str:
+    """The text of a task or rules file, which is UTF-8; a byte that does
+    not decode is a located TaskError."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TaskError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", str(path),
+                        data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def parse_task(directory: Union[str, Path]) -> Task:
     d = Path(directory)
     if not d.is_dir():
@@ -509,9 +487,9 @@ def parse_task(directory: Union[str, Path]) -> Task:
         if not (d / required).is_file():
             raise TaskError(f"missing task file {required}", str(d / required))
     test_file = d / TEST_EXS_FILE
-    test_text = test_file.read_text() if test_file.is_file() else None
-    return _build_task(d.name, str(d), (d / BIAS_FILE).read_text(),
-                       (d / BK_FILE).read_text(), (d / EXS_FILE).read_text(), test_text)
+    test_text = read_text(test_file) if test_file.is_file() else None
+    return _build_task(d.name, str(d), read_text(d / BIAS_FILE),
+                       read_text(d / BK_FILE), read_text(d / EXS_FILE), test_text)
 
 
 # ---------------------------------------------------------------------------

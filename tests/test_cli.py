@@ -69,6 +69,22 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "error:" in err and "bk.pl" in err
 
 
+def test_non_utf8_files_are_parse_errors(capsys, tmp_path, fixtures_dir):
+    task = tmp_path / "latin1"
+    task.mkdir()
+    (task / "bias.pl").write_text("head_pred(f,1). body_pred(p,1).")
+    (task / "bk.pl").write_bytes("% caf\xe9\np(1).\n".encode("latin-1"))
+    (task / "exs.pl").write_text("pos(f(1)).")
+    code, _, err = run_cli("learn", str(task), capsys=capsys)
+    assert code == 2
+    assert f"error: {task / 'bk.pl'}:1: invalid UTF-8 byte 0xe9" in err
+    rules = tmp_path / "rules.pl"
+    rules.write_bytes(b"f(A) :- odd(A).\n\xff\n")
+    code, _, err = run_cli("check", str(fixtures_dir / "intro"), str(rules), capsys=capsys)
+    assert code == 2
+    assert f"error: {rules}:2: invalid UTF-8 byte 0xff" in err
+
+
 def test_timeout_without_result_exit_code(capsys, fixtures_dir):
     code, out, _ = run_cli("learn", str(fixtures_dir / "intro"),
                            "--timeout", "0", capsys=capsys)

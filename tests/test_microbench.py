@@ -2,7 +2,7 @@
 least_model run on a store the size of a recursive-chain task: a 200-node
 chain with forward skips, its reverse and 100 random links.  Constraint
 matching, pack coverage, canonicalize and iter_renamings run over intro's
-strata.  Each runs a fixed number of rounds, so the module stays under
+strata, and the task parser over a 1,000-edge chain.  Each runs a fixed number of rounds, so the module stays under
 four seconds; nothing is saved unless pytest-benchmark is asked to
 (``--benchmark-autosave``).  ``--benchmark-disable`` runs each body once
 as a plain test."""
@@ -13,7 +13,8 @@ import pytest
 
 from helpers import ground, lit, parse_rule
 
-from razor import Const, covers_rule, find_pointless, implies, least_model, parse_rules
+from razor import (Const, covers_rule, find_pointless, implies, least_model, parse_rules,
+                   parse_task_strings)
 from razor.datalog import CoveragePack, FactStore
 from razor.generate import Constraint, ConstraintKind, ConstraintStore, HypothesisGenerator
 from razor.logic import canonicalize, iter_renamings
@@ -156,3 +157,16 @@ def test_bench_iter_renamings_between_strata(benchmark, intro_strata):
 
     found = benchmark.pedantic(renamings, rounds=SLOW_ROUNDS, iterations=1, warmup_rounds=1)
     assert 0 < found < len(pairs)
+
+
+def test_bench_parse_chain_task(benchmark):
+    # the background knowledge of a 1,000-edge chain with 500 two-hop
+    # positives and 500 reversed negatives
+    bias = "head_pred(reach,2).\nbody_pred(edge,2).\nmax_vars(3).\n"
+    bk = "".join(f"edge(n{i},n{i + 1}).\n" for i in range(1000))
+    exs = "".join(f"pos(reach(n{i},n{i + 2})).\nneg(reach(n{i + 2},n{i})).\n"
+                  for i in range(500))
+    task = benchmark.pedantic(parse_task_strings, args=(bias, bk, exs),
+                              rounds=SLOW_ROUNDS, iterations=1, warmup_rounds=1)
+    assert len(task.bk) == 1000
+    assert len(task.pos) == len(task.neg) == 500

@@ -2,7 +2,7 @@ import pytest
 
 from helpers import ground, parse_hypothesis, parse_rule
 
-from razor import TaskError, parse_task, parse_task_strings
+from razor import Literal, TaskError, parse_task, parse_task_strings
 from razor.logic import canonicalize_hypothesis
 from razor.microtask import random_task
 from razor.pointless import PointlessEvidence, PointlessKind
@@ -79,6 +79,25 @@ def test_overlapping_examples_rejected():
         parse_task_strings(GOOD_BIAS, "odd(1).", "pos(f(5)). neg(f(5)).")
 
 
+def test_duplicate_examples_are_kept_once_without_a_list_scan(monkeypatch):
+    exs = "".join(f"pos(f({i})).\nneg(f({i + 2000})).\n" for i in range(2000))
+    exs += "pos(f(7)). neg(f(2001)). pos(f(3)).\n"
+    eq = Literal.__eq__
+    calls = 0
+
+    def counting_eq(a, b):
+        nonlocal calls
+        calls += 1
+        return eq(a, b)
+
+    monkeypatch.setattr(Literal, "__eq__", counting_eq)
+    task = parse_task_strings(GOOD_BIAS, "odd(1).", exs)
+    # a scan of the examples kept so far compares about four million pairs
+    assert calls < 10_000
+    assert task.pos == [ground("f", i) for i in range(2000)]
+    assert task.neg == [ground("f", i + 2000) for i in range(2000)]
+
+
 def test_at_least_one_positive_required():
     with pytest.raises(TaskError, match="positive"):
         parse_task_strings(GOOD_BIAS, "odd(1).", "neg(f(5)).")
@@ -147,6 +166,15 @@ def test_missing_task_directory(tmp_path):
     (tmp_path / "incomplete").mkdir()
     with pytest.raises(TaskError, match="missing task file"):
         parse_task(tmp_path / "incomplete")
+
+
+def test_non_utf8_task_file_is_a_located_error(tmp_path):
+    (tmp_path / "bias.pl").write_text(GOOD_BIAS, encoding="utf-8")
+    (tmp_path / "bk.pl").write_bytes(b"% caf\xc3\xa9\nodd(1).\nodd(\xff).\n")
+    (tmp_path / "exs.pl").write_text("pos(f(5)).", encoding="utf-8")
+    with pytest.raises(TaskError) as err:
+        parse_task(tmp_path)
+    assert str(err.value) == f"{tmp_path / 'bk.pl'}:3: invalid UTF-8 byte 0xff"
 
 
 def test_held_out_examples_are_parsed(trains_task):
