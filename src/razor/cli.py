@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .bench import run_record, run_suite, write_csv, write_json
+from .logic import canonicalize_hypothesis
 from .oracle import DEFAULT_CEILING, OracleCeilingError, oracle_optimal
 from .pointless import DetectMode, find_pointless
 from .search import CoverageTester, LearnConfig, TIMEOUT, learn, verify_audit
@@ -139,7 +140,7 @@ def _cmd_check(args) -> int:
     tester = CoverageTester(task.bk, task.pos, task.neg)
     findings = find_pointless(
         tester.model,
-        frozenset(rules),
+        canonicalize_hypothesis(rules),
         task.neg,
         list(task.constant_domain),
         exhaustive=True,

@@ -2,24 +2,27 @@
 entailment queries used for coverage testing and redundancy detection.
 
 Rule bodies are compiled into argument slots and constants, and three
-kinds of join run on them:
+kinds of join run on them.  Each query fixes its join structure before
+its first join:
 
 - ``_solve`` serves the existential queries of redundancy detection
   (``implies``) and the enumeration of ``reference.satisfying_substitutions``:
   it works tuple at a time on a binding list indexed by slot, picks the
   smallest index bucket per binding and stops at the first solution its
-  caller wants.  ``implies`` plans its body once and runs one join of it
-  and one bucket check per distinct body solution, never one check per
-  domain value.
+  caller wants.  ``implies`` splits its body into components under the
+  seed once, checks each component apart from the tested literal once,
+  and runs one join of the rest and one bucket check per distinct
+  solution, never one check per domain value.
 - ``covers_rule`` runs on a ``CoveragePack``, which holds one example
   list and joins set at a time: rows of an example index and variable
-  values are extended by one body literal at a time, in plan order, and
-  the rows of each body prefix are kept for the next rule that shares
-  it.  Over a stratum, whose rules arrive in that order, a rule costs
-  about one extension: its last literal, joined to its parent prefix's
-  rows only to learn which rows some fact matches.  A literal that no
-  bound variable reaches waits until one does, so no example is crossed
-  with a whole predicate.
+  values are extended by one body literal at a time, and the rows of
+  each body prefix are kept for the next rule that shares it.  The body
+  is ordered once, in concrete-key order except that a literal waits
+  until the head or an earlier literal binds one of its variables, so no
+  example is crossed with a whole predicate.  Over a stratum, whose
+  rules arrive in concrete-key order, a rule costs about one extension:
+  its last literal, joined to its parent prefix's rows only to learn
+  which rows some fact matches.
 - The fixpoint rounds of ``least_model`` run set at a time: each rule
   body, once per body position a delta can feed, is compiled into a
   pipeline of steps with a static join order, and every step joins a
@@ -349,8 +352,8 @@ class _Step:
 
     - ``pos`` and ``src``: the lookup, the argument at fact position pos
       against ``src``, a row position (int) or a constant (str); pos is -1
-      when the step scans the predicate (no bound argument, or the first
-      step of a delta pipeline, which scans the delta);
+      when the step scans the predicate (no bound argument) or given facts
+      (the delta of a delta pipeline's first step, or a pack's examples);
     - ``check_at`` and ``check_of``: the other bound arguments, as the
       facts' values at those positions and the values a row demands there
       (constants when the lookup is not a row's);
@@ -592,31 +595,29 @@ class CoveragePack:
     examples and a fixed store, sharing body-prefix joins between the
     rules it is asked about.
 
-    A rule's body is taken in plan order (sorted by concrete_key).  A row
-    is an example index followed by the values of the variables bound so
-    far: the head's, then each joined literal's new ones, in order of
+    A rule's body is ordered once, before the first join (``_join_order``).
+    A literal that nothing binds (such as c(C) beside b(A,B)) is never
+    joined: it only needs a solution of its own, checked once when the
+    rule is answered.
+
+    A row is an example index followed by the values of the variables bound
+    so far: the head's, then each joined literal's new ones, in order of
     first occurrence.  The pack keeps the rows that match the last rule's
-    head and the state after each proper prefix of its body, set at a
-    time.  A rule with the same head starts from the deepest body prefix
-    it shares with that rule, so a stratum, whose rules arrive in
+    head and the state after each proper prefix of its ordered body, set at
+    a time.  A rule with the same head starts from the deepest prefix it
+    shares with that rule, so a stratum, whose rules arrive in
     concrete-rank order and share their prefixes with their neighbours,
     costs about one extension per rule: its last literal, joined only to
-    learn which rows some fact matches.
-
-    A literal none of whose variables is bound yet (such as car(B) before
-    has_car(A,B)) would cross every row with every matching fact, so a
-    state defers it instead: it is joined once a later literal binds one
-    of its variables, and the deferred literals no literal ever binds are
-    checked for a solution of their own when the rule is answered.  What a
-    state keeps is then the rows of the body literals linked to the head,
-    and their number grows with the fan-out of those literals: the pack
-    pays off when each example has few bindings per prefix.
+    learn which rows some fact matches.  A state's rows grow with the
+    fan-out of its literals: the pack pays off when each example has few
+    bindings per prefix.
 
     Head constants, repeated head variables and head variables missing
-    from the body are settled by the head match, and repeated body
-    variables by the extension's checks.  Past the deadline (a
-    time.perf_counter value), checked between prefix extensions, a query
-    raises DeadlineExceeded and leaves the kept states consistent."""
+    from the body are settled by the head match, one scan of the examples
+    as (index, *args) facts, and repeated body variables by the
+    extension's checks.  Past the deadline (a time.perf_counter value),
+    checked between prefix extensions, a query raises DeadlineExceeded
+    and leaves the kept states consistent."""
 
     def __init__(self, store: FactStore, examples: Sequence[Literal],
                  deadline: Optional[float] = None):
@@ -626,34 +627,32 @@ class CoveragePack:
         self.extensions = 0  # body literals joined to a batch of rows
         self.args = [tuple([t.name for t in e.args]) for e in examples]  # as fact tuples
         self._head: Optional[Literal] = None
-        self._lits: list[Literal] = []  # the body prefix the states cover
-        # _states[k]: slots, rows and deferred literals (with their
-        # variables) after the head and the first k literals
-        self._states: list[tuple[dict[str, int], list[Row],
-                                 tuple[tuple[Literal, frozenset[str]], ...]]] = []
+        self._lits: list[Literal] = []  # the ordered body prefix the states cover
+        # _states[k]: slots and rows after the head and the first k literals
+        self._states: list[tuple[dict[str, int], list[Row]]] = []
 
     def mask(self, rule: Rule) -> int:
         """The bitmask of the examples (bit i for examples[i]) that the rule
         entails against the store."""
         if rule.head != self._head:
             self._match_head(rule.head)
-        body = rule.body_sorted()
-        last = len(body) - 1
+        order, unreached = _join_order(rule)
+        last = len(order) - 1
         k = 0
-        while k < min(last, len(self._lits)) and self._lits[k] == body[k]:
+        while k < min(last, len(self._lits)) and self._lits[k] == order[k]:
             k += 1
         del self._lits[k:], self._states[k + 1:]
         while k < last:
-            self._states.append(self._join(self._states[k], body[k], keep=True))
-            self._lits.append(body[k])
+            self._states.append(self._extend(self._states[k], order[k], keep=True))
+            self._lits.append(order[k])
             k += 1
             check_deadline(self.deadline)
         state = self._states[k]
-        if body:
-            state = self._join(state, body[k], keep=False)
-        _, rows, deferred = state
-        if deferred:
-            plan = _plan(frozenset([w for w, _ in deferred]))
+        if order:
+            state = self._extend(state, order[k], keep=False)
+        _, rows = state
+        if rows and unreached:
+            plan = _plan(frozenset(unreached))
             if not _satisfiable(self.store, plan.body, plan.binding()):
                 return 0
         mask = 0
@@ -668,57 +667,49 @@ class CoveragePack:
                 raise ValueError(f"example {e!r} does not match head {head!r}")
         slots = {_EXAMPLE: 0}
         _, args = _compile(head, slots)
-        first: dict[Arg, int] = {}
-        checks: list[tuple[int, str]] = []
-        repeats: list[tuple[int, int]] = []
-        for j, a in enumerate(args):
-            if a.__class__ is str:
-                checks.append((j, a))  # type: ignore[arg-type]
-            elif a in first:
-                repeats.append((j, first[a]))
-            else:
-                first[a] = j
-        get = list(first.values())
-        rows = [(i, *[e[j] for j in get]) for i, e in enumerate(self.args)
-                if all(e[j] == c for j, c in checks) and all(e[j] == e[q] for j, q in repeats)]
+        step = _Step((key, (0, *args)), {}, set(slots.values()), scan=True)
         self._head = head
         self._lits = []
-        self._states = [(slots, rows, ())]
+        facts = [(i, *e) for i, e in enumerate(self.args)]
+        self._states = [(slots, step.run(self.store, [()], facts))]
 
-    def _join(self, state, lit: Literal, keep: bool):
-        """The state joined to the literal: deferred when none of its
-        variables is bound, otherwise joined, followed by every deferred
-        literal that the new bindings reach.  Without keep and with nothing
-        deferred, the rows are those some fact matches, unextended."""
-        slots, rows, deferred = state
-        slots = dict(slots)
-        keep = keep or bool(deferred)
-        waiting = list(deferred)
-        ready = [(lit, lit.vars())]
-        while ready:
-            lit, names = ready.pop(0)
-            if names and names.isdisjoint(slots):
-                waiting.append((lit, names))
-                continue
-            rows = self._extend(slots, rows, lit, keep)
-            if waiting:
-                ready += [w for w in waiting if not names.isdisjoint(w[1])]
-                waiting = [w for w in waiting if names.isdisjoint(w[1])]
-        return slots, rows, tuple(waiting)
-
-    def _extend(self, slots: dict[str, int], rows: list[Row], lit: Literal,
-                keep: bool) -> list[Row]:
-        """The rows joined to the literal, compiled into slots: extended by
-        each matching fact's values of the new variables when keep is set,
-        otherwise each row some fact matches, once."""
+    def _extend(self, state: tuple[dict[str, int], list[Row]], lit: Literal,
+                keep: bool) -> tuple[dict[str, int], list[Row]]:
+        """The state joined to the literal, compiled into a copy of its
+        slots: each row extended by each matching fact's values of the new
+        variables when keep is set, otherwise each row some fact matches,
+        once."""
         self.extensions += 1
+        slots, rows = state
+        slots = dict(slots)
         bound = len(slots)
         compiled = _compile(lit, slots)
-        if not rows:
-            return rows
-        at = {s: s for s in range(bound)}
-        step = _Step(compiled, at, set(range(bound, len(slots))) if keep else set(), scan=False)
-        return step.run(self.store, rows)
+        if rows:
+            live = set(range(bound, len(slots))) if keep else set()
+            step = _Step(compiled, {s: s for s in range(bound)}, live, scan=False)
+            rows = step.run(self.store, rows)
+        return slots, rows
+
+
+def _join_order(rule: Rule) -> tuple[list[Literal], list[Literal]]:
+    """The rule's body in a pack's join order, and the literals left out:
+    each time the first literal in concrete-key order that is ground or
+    shares a variable with the head or an earlier literal, until none
+    does."""
+    bound = set(rule.head.vars())
+    order: list[Literal] = []
+    waiting = [(lit, lit.vars()) for lit in rule.body_sorted()]
+    k = 0
+    while k < len(waiting):
+        lit, names = waiting[k]
+        if names and bound.isdisjoint(names):
+            k += 1
+            continue
+        order.append(lit)
+        bound |= names
+        del waiting[k]
+        k = 0
+    return order, [lit for lit, _ in waiting]
 
 
 def covers_rule(store: FactStore, rule: Rule, examples: Sequence[Literal],
@@ -734,27 +725,21 @@ def covers_rule(store: FactStore, rule: Rule, examples: Sequence[Literal],
     return pack.mask(rule)
 
 
-def _component(lits: Sequence[CompiledLiteral], slots: set[int],
-               b: Binding) -> list[CompiledLiteral]:
-    """The literals joined to the given slots through chains of free
-    slots; the others only matter for satisfiability."""
-    reached = set(slots)
-    relevant: list[CompiledLiteral] = []
-    rest = list(lits)
-    changed = True
-    while changed:
-        changed = False
-        still = []
-        for lit in rest:
-            free = {a for a in lit[1] if a.__class__ is int and b[a] is None}
-            if free & reached:
-                reached |= free
-                relevant.append(lit)
-                changed = True
-            else:
-                still.append(lit)
-        rest = still
-    return relevant
+def _components(lits: Sequence[CompiledLiteral],
+                b: Binding) -> list[tuple[set[int], list[CompiledLiteral]]]:
+    """The literals split into the components that chains of free slots
+    under b join, each with its free slots and its literals in the given
+    order; a literal with no free slot is a component of its own."""
+    comps: list[tuple[set[int], list[int]]] = []
+    for i, (_, args) in enumerate(lits):
+        slots = {a for a in args if a.__class__ is int and b[a] is None}
+        members = [i]
+        for comp in [c for c in comps if c[0] & slots]:
+            comps.remove(comp)
+            slots |= comp[0]
+            members += comp[1]
+        comps.append((slots, members))
+    return [(slots, [lits[i] for i in sorted(members)]) for slots, members in comps]
 
 
 def _holds_every_grounding(store: FactStore, key: PredKey, pat: tuple,
@@ -790,29 +775,35 @@ def implies(
     the seed) over the given constant domain that satisfies the body also
     satisfies lit.  Body variables absent from lit range over the store.
 
-    1. Vacuity: one satisfiability check of the whole body under the seed;
-       an unsatisfiable body implies anything.
-    2. Body-first: enumerate the solutions of the body literals that share
-       a chain of free variables with lit, skipping those that bind a
-       variable of lit outside the domain.
+    The query is planned once, before the first join: under the seed the
+    body splits into components, the literals that chains of free
+    variables join (a literal with no free variable is one of its own).
+
+    1. Each component sharing no free variable with lit gets one
+       satisfiability check: an unsatisfiable component makes the body
+       unsatisfiable, and such a body implies anything.
+    2. Body-first: enumerate the solutions of the other components,
+       skipping those that bind a variable of lit outside the domain.
     3. Under each distinct solution, lit's lone variables (free variables
        in no body literal) must take every grounding over the domain: one
        index bucket must hold |domain|^k facts with distinct in-domain
        projections onto the k lone variables.  Without a lone variable
        this is one membership test.
 
-    The body literals sharing no variable chain with lit are satisfiable
-    once step 1 passes, so they are never joined again.  No step ranges a
+    No literal takes part in two of these steps, and no step ranges a
     variable over the domain, so no query pays |domain| satisfiability
     checks.
     """
     plan = _plan(frozenset(body), lit)
     b = plan.binding(seed)
-    if not _satisfiable(store, plan.body, b):
-        return True
     key, args = plan.head  # type: ignore[misc]
     free = {a for a in args if a.__class__ is int and b[a] is None}
-    relevant = _component(plan.body, free, b)
+    relevant: list[CompiledLiteral] = []
+    for slots, lits in _components(plan.body, b):
+        if slots & free:
+            relevant += lits
+        elif not _satisfiable(store, lits, b):
+            return True
     shared = free.intersection([a for _, rel_args in relevant for a in rel_args])
     lone_first: dict[int, int] = {}
     repeats: list[tuple[int, int]] = []

@@ -336,14 +336,12 @@ def iter_renamings(p: Rule, r: Rule) -> Iterator[dict[str, str]]:
         return
     body_p = _match_order(p)
     body_r = list(r.body)
-    seen: set[tuple] = set()
 
+    # a renaming fixes the image of every pattern literal, so it is reached
+    # along one path only and yielded once
     def backtrack(i: int) -> Iterator[dict[str, str]]:
         if i == len(body_p):
-            key = tuple(sorted(theta.items()))
-            if key not in seen:
-                seen.add(key)
-                yield dict(theta)
+            yield dict(theta)
             return
         pat = body_p[i]
         for cand in body_r:

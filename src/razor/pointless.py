@@ -15,7 +15,6 @@ from .logic import (
     Hypothesis,
     Literal,
     Rule,
-    canonicalize,
     captured,
     concrete_key,
     is_basic,
@@ -45,13 +44,14 @@ class DetectMode(enum.Enum):
 
 @dataclass(frozen=True)
 class PointlessEvidence:
-    """A redundant captured literal found in a (canonicalized) rule."""
+    """A redundant captured literal found in a rule of the hypothesis
+    detection ran on."""
 
     rule: Rule
     literal: Literal
     kind: PointlessKind
     reduced_rule: Rule
-    vacuous: bool = False  # indiscriminate with no matching negative examples
+    vacuous: bool = False  # indiscriminate with no negative example matching the head
 
     def __repr__(self):
         return f"{self.kind.value}: {self.rule!r} [literal {self.literal!r}]"
@@ -97,7 +97,7 @@ def check_literal(store: FactStore, rule: Rule, lit: Literal,
     if mode.indiscriminate and is_indiscriminate_direct(store, neg, rule, lit, domain, deadline):
         return PointlessEvidence(
             rule, lit, PointlessKind.INDISCRIMINATE, reduce_rule(rule, lit),
-            vacuous=not neg,
+            vacuous=all(head_binding(rule, e) is None for e in neg),
         )
     return None
 
@@ -114,21 +114,21 @@ def find_pointless(
     """Scan a hypothesis for pointless rules.
 
     Rules are visited in canonical order and only basic rules are
-    considered.  For each captured body literal the reducible test runs
-    before the indiscriminate test.  By default the first piece of evidence
-    is returned (as a one-element list); with exhaustive=True every
-    (rule, literal) finding in the hypothesis is collected.  Past the
-    deadline (a time.perf_counter value), checked before each captured
-    literal and each negative example's implication test, it raises
-    DeadlineExceeded.
+    considered; evidence names each rule as given (the generator builds
+    every rule canonical).  For each captured body literal the reducible
+    test runs before the indiscriminate test.  By default the first piece
+    of evidence is returned (as a one-element list); with exhaustive=True
+    every (rule, literal) finding in the hypothesis is collected.  Past
+    the deadline (a time.perf_counter value), checked before each
+    captured literal and each negative example's implication test, it
+    raises DeadlineExceeded.
     """
     if mode is DetectMode.OFF:
         return []
     out: list[PointlessEvidence] = []
-    for orig in sorted(h, key=rule_sort_key):
-        if not is_basic(orig, h):
+    for rule in sorted(h, key=rule_sort_key):
+        if not is_basic(rule, h):
             continue
-        rule = canonicalize(orig)
         rule_neg = [e for e in neg if e.pred_key == rule.head.pred_key]
         for lit in sorted(rule.body, key=concrete_key):
             if not captured(rule, lit):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from itertools import permutations, product
+from typing import Iterator
 
 from razor import Const, Literal, Rule, Var, learn, least_model, search
 from razor.logic import Hypothesis, var_name
@@ -33,16 +34,12 @@ def ground(pred: str, *args) -> Literal:
     return Literal(pred, tuple(Const(str(a)) for a in args))
 
 
-def brute_force_renamed_subrule(p: Rule, r: Rule) -> bool:
-    """Reference matcher: try every injective mapping of p's variables onto
-    r's variables explicitly."""
+def brute_force_renamings(p: Rule, r: Rule) -> Iterator[dict[str, str]]:
+    """Reference renamings: every injective mapping of p's variables onto
+    r's variables that maps p's head onto r's head and p's body into r's
+    body, tried explicitly."""
     p_vars = sorted(p.vars())
-    r_vars = sorted(r.vars())
-    if len(p_vars) > len(r_vars):
-        candidates = []
-    else:
-        candidates = permutations(r_vars, len(p_vars))
-    for image in candidates:
+    for image in permutations(sorted(r.vars()), len(p_vars)):
         theta = dict(zip(p_vars, image))
 
         def rename(l: Literal) -> Literal:
@@ -52,8 +49,12 @@ def brute_force_renamed_subrule(p: Rule, r: Rule) -> bool:
             )
 
         if rename(p.head) == r.head and all(rename(b) in r.body for b in p.body):
-            return True
-    return False
+            yield theta
+
+
+def brute_force_renamed_subrule(p: Rule, r: Rule) -> bool:
+    """Reference matcher: whether some brute-force renaming exists."""
+    return next(brute_force_renamings(p, r), None) is not None
 
 
 def random_rule(rng: random.Random, preds=None, max_body=3, max_vars=3,

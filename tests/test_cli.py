@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from helpers import parse_rule
 from razor.cli import main
+from razor.logic import canonicalize
+from razor.taskio import render_rule
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -129,6 +132,36 @@ def test_check_clean_ruleset_exit_zero(capsys, fixtures_dir):
         str(fixtures_dir / "checks" / "intro_good.pl"), capsys=capsys)
     assert code == 0
     assert "no pointless literals" in out
+
+
+def test_check_reports_findings_on_the_canonical_rule(capsys, fixtures_dir, tmp_path):
+    rules = tmp_path / "rules.pl"
+    rules.write_text("f(X) :- odd(X), int(X).\n")
+    code, out, _ = run_cli("check", str(fixtures_dir / "intro"), str(rules), capsys=capsys)
+    assert code == 3
+    canonical = render_rule(canonicalize(parse_rule("f(A) :- odd(A), int(A).")))
+    assert f"reducible: {canonical}  redundant literal: int(A)" in out
+
+
+def _vacuity_task(tmp_path, negatives):
+    task = tmp_path / "task"
+    task.mkdir()
+    (task / "bias.pl").write_text(
+        "head_pred(f,2). body_pred(p,1). body_pred(q,1). max_vars(2). max_body(2).\n")
+    (task / "bk.pl").write_text("p(1). p(2). q(1). q(3).\n")
+    (task / "exs.pl").write_text("pos(f(1,1)).\n" + negatives)
+    rules = tmp_path / "rules.pl"
+    rules.write_text("f(A,A) :- p(A), q(A).\n")
+    return str(task), str(rules)
+
+
+@pytest.mark.parametrize("negatives", ["neg(f(1,2)). neg(f(2,1)).\n", ""])
+def test_check_drops_indiscriminate_claims_no_negative_matches(capsys, tmp_path, negatives):
+    # neither negative matches the head f(A,A), so with or without them
+    # every indiscriminate claim is vacuous
+    code, out, _ = run_cli("check", *_vacuity_task(tmp_path, negatives), capsys=capsys)
+    assert code == 0
+    assert "no pointless literals found" in out
 
 
 def test_oracle_command(capsys, fixtures_dir):

@@ -432,17 +432,18 @@ def test_coverage_pack_checks_the_deadline_between_extensions(intro_model):
 
 
 def test_coverage_pack_defers_a_literal_no_bound_variable_reaches():
-    # a(B,C) comes first in plan order but shares no variable with the
-    # head: joined there, it would cross every example with every a/2 fact
+    # a(B,C) comes first in concrete-key order but shares no variable with
+    # the head: joined there, it would cross every example with every a/2
+    # fact, so it waits until b(A,B) binds B
     store = FactStore([*(ground("a", f"x{i}", f"y{i}") for i in range(50)),
                        ground("b", "n1", "x3"), ground("b", "n2", "z"), ground("c", "z")])
     examples = [ground("f", f"n{i}") for i in range(4)]
     pack = CoveragePack(store, examples)
     assert covers_rule(store, parse_rule("f(A) :- a(B,C), b(A,B)."), examples, pack) == 0b10
-    slots, rows, deferred = pack._states[1]
-    assert len(rows) == len(examples) and deferred == ((lit("a", "B", "C"), {"B", "C"}),)
+    assert len(pack._states) == 2
+    assert all(len(rows) <= len(examples) for _, rows in pack._states)
     assert covers_rule(store, parse_rule("f(A) :- a(B,C), b(A,D)."), examples, pack) == 0b110
-    # deferred literals that no literal reaches need a solution of their own
+    # literals that no literal reaches need a solution of their own
     assert covers_rule(store, parse_rule("f(A) :- b(A,B), d(C)."), examples) == 0
     assert covers_rule(store, parse_rule("f(A) :- b(A,B), c(C)."), examples) == 0b110
     assert covers_rule(store, parse_rule("f(A) :- a(B,C), c(C)."), examples) == 0
@@ -759,11 +760,35 @@ def test_lone_variable_query_makes_no_check_per_domain_value(monkeypatch):
 
     monkeypatch.setattr(datalog, "_satisfiable", counting)
     body = [lit("edge", "A", "B")]
-    assert not implies(store, body, lit("link", "D", "B"), domain)
-    assert implies(store, body, lit("node", "D"), domain)
-    assert not implies(store, body, lit("edge", "D", "E"), domain)
-    # one vacuity check per query, none per value of D
-    assert len(calls) == 3
+    for target, implied in [(lit("link", "D", "B"), False), (lit("node", "D"), True),
+                            (lit("edge", "D", "E"), False)]:
+        calls.clear()
+        assert implies(store, body, target, domain) == implied
+        # at most one check of the body component apart from the target,
+        # none per value of D
+        assert len(calls) <= 1, target
+
+
+def test_implies_checks_a_component_apart_from_the_target_once(monkeypatch):
+    # succ(C,C) shares no variable with p(A,B) or q(B): its one check must
+    # not be repeated for each of the 1,000 solutions of p(a,B)
+    from razor import datalog
+
+    n = 1000
+    store = FactStore([*(ground("p", "a", f"b{i}") for i in range(n)),
+                       *(ground("succ", f"c{i}", f"c{i + 1}") for i in range(n))])
+    calls = []
+    real = datalog._filter
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(datalog, "_filter", counting)
+    body = [lit("p", "A", "B"), lit("succ", "C", "C")]
+    seed = {"A": Const("a")}
+    assert implies(store, body, lit("q", "B"), [Const("b0")], seed)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_renamed_subrule, lit, parse_rule, random_rule
+from helpers import brute_force_renamed_subrule, brute_force_renamings, lit, parse_rule, random_rule
 
 from razor import (
     Rule,
@@ -238,6 +238,19 @@ def test_renamed_subrule_against_brute_force():
     for p in rules:
         for r in rules:
             assert renamed_subrule(p, r) == brute_force_renamed_subrule(p, r)
+
+
+def test_iter_renamings_yields_each_renaming_once_against_brute_force():
+    rng = random.Random(19)
+    rules = [random_rule(rng, preds=[("p", 1), ("q", 2)], max_vars=4) for _ in range(40)]
+    several = 0
+    for p in rules:
+        for r in rules:
+            thetas = [tuple(sorted(t.items())) for t in iter_renamings(p, r)]
+            assert len(thetas) == len(set(thetas)), (p, r)
+            assert set(thetas) == {tuple(sorted(t.items())) for t in brute_force_renamings(p, r)}
+            several += len(thetas) > 1
+    assert several > 0
 
 
 def test_renamed_subrule_maps_variables_only():

@@ -14,7 +14,7 @@ from razor import (
     subrule,
 )
 from razor.deadline import DeadlineExceeded
-from razor.logic import Rule, canonicalize, captured
+from razor.logic import Rule, captured
 from razor.reference import is_indiscriminate
 
 
@@ -246,9 +246,3 @@ def test_specialisations_of_flagged_rules_stay_pointless(intro_task):
             found = find_pointless(model, frozenset({bigger}), intro_task.neg,
                                    dom, exhaustive=False)
             assert found, f"extension lost the pointless literal: {bigger!r}"
-
-
-def test_detection_canonicalizes_rules(intro_task):
-    h = parse_hypothesis("f(X) :- odd(X), int(X).")
-    [ev] = _detect(intro_task, h)
-    assert ev.rule == canonicalize(parse_rule("f(A) :- odd(A), int(A)."))

@@ -1,5 +1,8 @@
+import importlib.util
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -285,17 +288,18 @@ def test_learn_is_deterministic(intro_task):
 
 # per fixture under the default config: generated, tested, nodes explored
 # (bodies built by stratum assembly, see HypothesisGenerator),
-# the returned hypothesis and the stored specialisation and generalisation
+# the returned hypothesis, the stored specialisation and generalisation
 # constraints (none of the latter: every fixture has one rule per
-# hypothesis).  A speed-up that loses pruning moves one of them.
+# hypothesis), the reducible and indiscriminate evidence and the stored
+# pointless constraints.  A speed-up that loses pruning moves one of them.
 FIXTURE_COUNTERS = {
-    "intro": (261, 261, 2717, "f(A) :- gt(A,3), lt(A,8), odd(A).", 21, 0),
-    "transitive_gt": (242, 242, 1966, "f(A) :- gt(A,B), gt(B,C), gt(C,D).", 25, 0),
+    "intro": (261, 261, 2717, "f(A) :- gt(A,3), lt(A,8), odd(A).", 21, 0, 9, 5, 14),
+    "transitive_gt": (242, 242, 1966, "f(A) :- gt(A,B), gt(B,C), gt(C,D).", 25, 0, 17, 0, 17),
     "eight_puzzle_mini": (693, 693, 3075,
                           "legal_move(A,B,C,D) :- adjacent(C,D), role(B), state(A).",
-                          692, 0),
+                          692, 0, 0, 0, 0),
     "trains_mini": (23, 23, 863, "eastbound(A) :- closed(B), has_car(A,B), short(B).",
-                    13, 0),
+                    13, 0, 1, 1, 2),
 }
 
 
@@ -309,8 +313,46 @@ def test_fixture_counters_are_pinned(fixture_runs, name):
     result = fixture_runs[name]
     s = result.stats
     got = (s.generated, s.tested, s.nodes_explored, render_hypothesis(result.best),
-           s.constraints["specialisation"], s.constraints["generalisation"])
+           s.constraints["specialisation"], s.constraints["generalisation"],
+           s.evidence["reducible"], s.evidence["indiscriminate"],
+           s.constraints["pointless-super-rule"])
     assert got == FIXTURE_COUNTERS[name]
+
+
+# per task of the benchmark's recursive-chain workload, seed 1: generated,
+# tested, the reducible and indiscriminate evidence, and the stored
+# specialisation, generalisation and pointless constraints
+CHAIN_COUNTERS = {
+    "chain0_n120": (190, 190, 15, 0, 189, 23, 12),
+    "chain1_n160": (192, 192, 15, 0, 191, 14, 12),
+    "chain2_n200": (190, 190, 15, 0, 188, 26, 12),
+}
+
+
+def _load_workloads():
+    # the benchmark's task builder, loaded by path and only read
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_recursive_chain_counters_are_pinned():
+    workload = _load_workloads().recursive_chain(None, 1, None)
+    got = {}
+    for spec in workload.tasks:
+        task = parse_task_strings(spec.files["bias.pl"], spec.files["bk.pl"],
+                                  spec.files["exs.pl"], name=spec.name)
+        result = learn(task)
+        s = result.stats
+        assert result.best_score == (0, 5), spec.name
+        got[spec.name] = (s.generated, s.tested,
+                          s.evidence["reducible"], s.evidence["indiscriminate"],
+                          s.constraints["specialisation"], s.constraints["generalisation"],
+                          s.constraints["pointless-super-rule"])
+    assert got == CHAIN_COUNTERS
 
 
 @pytest.mark.parametrize("noisy", [False, True])
