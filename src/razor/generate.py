@@ -10,9 +10,8 @@ import enum
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain, combinations, groupby, permutations, product
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .deadline import DeadlineExceeded, check_deadline
 from .logic import (
@@ -23,14 +22,11 @@ from .logic import (
     Var,
     abstract_key,
     concrete_key,
-    hypothesis_key,
-    hypothesis_sorted,
     in_search_space,
     is_basic,
     iter_renamings,
     rename_literal,
     renamed_subrule,
-    rule_sort_key,
     var_name,
 )
 from .pointless import PointlessEvidence
@@ -98,16 +94,7 @@ class Constraint:
     hypothesis: Optional[Hypothesis] = None
     evidence: Optional[PointlessEvidence] = None
 
-    def key(self) -> tuple:
-        if self.kind is ConstraintKind.POINTLESS_SUPER_RULE:
-            assert self.evidence is not None
-            ev = self.evidence
-            return (self.kind.value, rule_sort_key(ev.rule), repr(ev.literal))
-        assert self.hypothesis is not None
-        return (self.kind.value, hypothesis_key(self.hypothesis))
 
-
-@lru_cache(maxsize=None)
 def _literal_key(lit: Literal, head: Literal) -> tuple:
     """Head-anchored index key of a body literal: its predicate and
     arguments, where a constant stays itself, a head variable becomes its
@@ -126,21 +113,12 @@ def _literal_key(lit: Literal, head: Literal) -> tuple:
     return (lit.pred, tuple(toks))
 
 
-@lru_cache(maxsize=None)
-def _rule_key(rule: Rule) -> tuple:
-    """Index key of a rule: p renames into r only if _rule_key(p) is one of
-    the sub-keys of r."""
-    return (abstract_key(rule.head),
-            *sorted(_literal_key(lit, rule.head) for lit in rule.body))
-
-
-@lru_cache(maxsize=None)
-def _rule_sub_keys(rule: Rule) -> tuple[tuple, ...]:
-    """The index key of every sub-body of the rule, the empty one included."""
-    head_key = abstract_key(rule.head)
-    keys = sorted(_literal_key(lit, rule.head) for lit in rule.body)
+def _sub_keys(key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The integer key of every sub-body of a rule with the given key, the
+    empty one included, each listing its literal ids in the rule's order."""
+    head, *lits = key
     return tuple(dict.fromkeys(
-        (head_key, *sub) for n in range(len(keys) + 1) for sub in combinations(keys, n)))
+        (head, *sub) for n in range(len(lits) + 1) for sub in combinations(lits, n)))
 
 
 def _pointless_match(c: Constraint, r: Rule) -> Optional[tuple[Rule, Literal, Rule]]:
@@ -163,13 +141,14 @@ def _pointless_match(c: Constraint, r: Rule) -> Optional[tuple[Rule, Literal, Ru
 
 
 class _RuleHits:
-    """Memoized record of which constraints a single rule triggers; refreshed
-    lazily when the store has grown."""
+    """The sub-keys of one rule and a memoized record of which constraints
+    it triggers; refreshed lazily when the store has grown."""
 
-    __slots__ = ("spec_seen", "spec_ids", "gen_seen", "gen_hits",
+    __slots__ = ("sub_keys", "spec_seen", "spec_ids", "gen_seen", "gen_hits",
                  "pointless_seen", "pointless_match")
 
-    def __init__(self):
+    def __init__(self, sub_keys: tuple[tuple[int, ...], ...]):
+        self.sub_keys = sub_keys
         self.spec_seen = -1
         self.spec_ids: set[int] = set()
         self.gen_seen = -1
@@ -179,45 +158,98 @@ class _RuleHits:
 
 
 class ConstraintStore:
-    """Insert-only collection of constraints, indexed by head-anchored rule
-    keys (see _literal_key) for fast matching; duplicate adds are no-ops."""
+    """Insert-only collection of constraints, indexed by integer rule keys
+    for fast matching; duplicate adds are no-ops.
+
+    The store keeps a rule table for its own lifetime, one learn run.  A
+    rule's id, a small integer, indexes the rule (rules), its key
+    (rule_keys) and its _RuleHits, built on first use.  A key is the id
+    of the head's abstract key followed by the sorted ids of the body
+    literals' head-anchored keys (see _literal_key), so p renames into r
+    only if p's key is one of the sub-keys of r, and a head of another
+    shape never shares a bucket.  The generator registers each stratum's
+    rules as it assembles them; any other rule gets an id the first time
+    the store sees it (rule_id).  The hypothesis-level checks take a tuple
+    of rule ids in rule_sort_key order, so a check hashes no Rule."""
 
     def __init__(self):
-        self._keys: set[tuple] = set()
+        self._seen: set[tuple] = set()  # what add compares: kind, rule ids, literal
         self.count = dict.fromkeys(ConstraintKind, 0)  # stored constraints per kind
         # specialisation: stored rule -> matches into a candidate rule;
-        # bucketed by the stored rule's key
-        self.spec_by_key: dict[tuple, list[tuple[int, Rule]]] = {}
+        # bucketed by the stored rule's key, with whether the rule has only
+        # head variables: then its key fixes every literal once the head
+        # is mapped, and every rule whose sub-keys hold it matches
+        self.spec_by_key: dict[tuple[int, ...], list[tuple[int, Rule, bool]]] = {}
         # generalisation: candidate rule -> matches into the stored rule;
         # entries bucketed under every sub-key of the stored rule so a
-        # candidate resolves with a single lookup of its own key
-        self.gen: list[tuple[Rule, ...]] = []
-        self.gen_by_key: dict[tuple, list[tuple[int, int, Rule]]] = {}
-        self.pointless_by_key: dict[tuple, list[tuple[int, Constraint]]] = {}
-        self._hits: dict[Rule, _RuleHits] = {}
+        # candidate resolves with a single lookup of its own key.  gen
+        # holds each constraint's rule count.
+        self.gen: list[int] = []
+        self.gen_by_key: dict[tuple[int, ...], list[tuple[int, int, Rule]]] = {}
+        self.pointless_by_key: dict[tuple[int, ...], list[tuple[int, Constraint]]] = {}
+        # the rule table, and the ids of rules and of head and literal keys
+        self.rules: list[Rule] = []
+        self.rule_keys: list[tuple[int, ...]] = []
+        self._hits: list[Optional[_RuleHits]] = []
+        self._rule_ids: dict[Rule, int] = {}
+        self._key_ids: dict[tuple, int] = {}
+
+    # -- the rule table ---------------------------------------------------
+
+    def key_ids(self, keys: Iterable[tuple]) -> list[int]:
+        """The id of each head or literal key, a new key numbered in the
+        order given."""
+        ids = self._key_ids
+        return [ids.setdefault(k, len(ids)) for k in keys]
+
+    def register(self, rule: Rule, key: tuple[int, ...]) -> int:
+        """The id of a rule whose integer key the caller built."""
+        rid = self._rule_ids.setdefault(rule, len(self.rules))
+        if rid == len(self.rules):
+            self.rules.append(rule)
+            self.rule_keys.append(key)
+            self._hits.append(None)
+        return rid
+
+    def rule_id(self, rule: Rule) -> int:
+        """The id of any rule, registered the first time it is seen."""
+        rid = self._rule_ids.get(rule)
+        if rid is not None:
+            return rid
+        (head,) = self.key_ids((abstract_key(rule.head),))
+        lits = self.key_ids(sorted(_literal_key(lit, rule.head) for lit in rule.body))
+        return self.register(rule, (head, *sorted(lits)))
 
     def add(self, c: Constraint) -> bool:
-        key = c.key()
-        if key in self._keys:
-            return False
-        self._keys.add(key)
-        if c.kind is ConstraintKind.SPECIALISATION:
-            assert c.hypothesis is not None
-            cid = self.count[ConstraintKind.SPECIALISATION]
-            for r0 in hypothesis_sorted(c.hypothesis):
-                self.spec_by_key.setdefault(_rule_key(r0), []).append((cid, r0))
-        elif c.kind is ConstraintKind.GENERALISATION:
-            assert c.hypothesis is not None
-            rules = tuple(hypothesis_sorted(c.hypothesis))
-            cid = len(self.gen)
-            self.gen.append(rules)
-            for idx, r0 in enumerate(rules):
-                for key in _rule_sub_keys(r0):
-                    self.gen_by_key.setdefault(key, []).append((cid, idx, r0))
-        else:
+        """Store c unless an equal constraint is stored: one of the same
+        kind on the same rules, and for a pointless constraint on the same
+        literal.  Returns whether c was new."""
+        if c.kind is ConstraintKind.POINTLESS_SUPER_RULE:
             assert c.evidence is not None
+            rids: tuple[int, ...] = (self.rule_id(c.evidence.rule),)
+            key: tuple = (c.kind, rids, c.evidence.literal)
+        else:
+            assert c.hypothesis is not None
+            rids = tuple(map(self.rule_id, c.hypothesis))
+            key = (c.kind, frozenset(rids))
+        if key in self._seen:
+            return False
+        self._seen.add(key)
+        if c.kind is ConstraintKind.SPECIALISATION:
+            cid = self.count[ConstraintKind.SPECIALISATION]
+            for rid in rids:
+                r0 = self.rules[rid]
+                self.spec_by_key.setdefault(self.rule_keys[rid], []).append(
+                    (cid, r0, r0.vars() <= r0.head.vars()))
+        elif c.kind is ConstraintKind.GENERALISATION:
+            cid = len(self.gen)
+            self.gen.append(len(rids))
+            for idx, rid in enumerate(rids):
+                for sub in self._rule_hits(rid).sub_keys:
+                    self.gen_by_key.setdefault(sub, []).append((cid, idx, self.rules[rid]))
+        else:
             pid = self.count[ConstraintKind.POINTLESS_SUPER_RULE]
-            self.pointless_by_key.setdefault(_rule_key(c.evidence.rule), []).append((pid, c))
+            self.pointless_by_key.setdefault(self.rule_keys[rids[0]], []).append((pid, c))
         self.count[c.kind] += 1
         return True
 
@@ -231,42 +263,44 @@ class ConstraintStore:
     # Bucket entries carry the insertion id of their constraint, so a
     # refresh tests only the constraints added since the rule's last scan.
 
-    def _rule_hits(self, r: Rule) -> _RuleHits:
-        hits = self._hits.get(r)
+    def _rule_hits(self, rid: int) -> _RuleHits:
+        hits = self._hits[rid]
         if hits is None:
-            hits = _RuleHits()
-            self._hits[r] = hits
+            hits = self._hits[rid] = _RuleHits(_sub_keys(self.rule_keys[rid]))
         return hits
 
-    def spec_ids(self, r: Rule) -> set[int]:
-        hits = self._rule_hits(r)
+    def spec_ids(self, rid: int) -> set[int]:
+        hits = self._rule_hits(rid)
         n_spec = self.count[ConstraintKind.SPECIALISATION]
         if hits.spec_seen != n_spec:
-            for key in _rule_sub_keys(r):
-                for cid, r0 in self.spec_by_key.get(key, ()):
+            r = self.rules[rid]
+            for key in hits.sub_keys:
+                for cid, r0, exact in self.spec_by_key.get(key, ()):
                     # a multi-rule constraint files several rules under one cid
                     if (cid >= hits.spec_seen and cid not in hits.spec_ids
-                            and renamed_subrule(r0, r)):
+                            and (exact or renamed_subrule(r0, r))):
                         hits.spec_ids.add(cid)
             hits.spec_seen = n_spec
         return hits.spec_ids
 
-    def gen_hits(self, r: Rule) -> dict[int, set[int]]:
-        hits = self._rule_hits(r)
+    def gen_hits(self, rid: int) -> dict[int, set[int]]:
+        hits = self._rule_hits(rid)
         if hits.gen_seen != len(self.gen):
-            for cid, idx, r0 in self.gen_by_key.get(_rule_key(r), ()):
+            r = self.rules[rid]
+            for cid, idx, r0 in self.gen_by_key.get(self.rule_keys[rid], ()):
                 if cid >= hits.gen_seen and renamed_subrule(r, r0):
                     hits.gen_hits.setdefault(cid, set()).add(idx)
             hits.gen_seen = len(self.gen)
         return hits.gen_hits
 
-    def pointless_match(self, r: Rule) -> Optional[tuple[Constraint, Rule, Literal, Rule]]:
-        hits = self._rule_hits(r)
+    def pointless_match(self, rid: int) -> Optional[tuple[Constraint, Rule, Literal, Rule]]:
+        hits = self._rule_hits(rid)
         if hits.pointless_match is not None:
             return hits.pointless_match
         n_pointless = self.count[ConstraintKind.POINTLESS_SUPER_RULE]
         if hits.pointless_seen != n_pointless:
-            for key in _rule_sub_keys(r):
+            r = self.rules[rid]
+            for key in hits.sub_keys:
                 for pid, c in self.pointless_by_key.get(key, ()):
                     if pid < hits.pointless_seen:
                         continue
@@ -280,35 +314,34 @@ class ConstraintStore:
 
     # -- hypothesis-level checks ------------------------------------------
 
-    def violated_non_pointless(self, h: Hypothesis) -> bool:
-        rules = list(h)
+    def violated_non_pointless(self, ids: tuple[int, ...]) -> bool:
         if self.count[ConstraintKind.SPECIALISATION]:
             common: Optional[set[int]] = None
-            for r in rules:
-                ids = self.spec_ids(r)
-                common = set(ids) if common is None else (common & ids)
+            for rid in ids:
+                found = self.spec_ids(rid)
+                common = found if common is None else common & found
                 if not common:
                     break
             if common:
                 return True
         if self.gen:
             agg: dict[int, set[int]] = {}
-            for r in rules:
-                for cid, idxs in self.gen_hits(r).items():
+            for rid in ids:
+                for cid, idxs in self.gen_hits(rid).items():
                     agg.setdefault(cid, set()).update(idxs)
             for cid, idxs in agg.items():
-                if len(idxs) == len(self.gen[cid]):
+                if len(idxs) == self.gen[cid]:
                     return True
         return False
 
     def first_pointless_violation(
-        self, h: Hypothesis
+        self, ids: tuple[int, ...]
     ) -> Optional[tuple[Constraint, Rule, Literal, Rule]]:
         if not self.count[ConstraintKind.POINTLESS_SUPER_RULE]:
             return None
-        for r in hypothesis_sorted(h):
-            m = self.pointless_match(r)
-            if m is not None and is_basic(r, h):
+        for rid in ids:
+            m = self.pointless_match(rid)
+            if m is not None and is_basic(self.rules[rid], [self.rules[i] for i in ids]):
                 return m
         return None
 
@@ -350,11 +383,13 @@ def rule_groups(size: int, max_rules: int) -> Iterator[tuple[tuple[int, int], ..
 
 class _Choice(NamedTuple):
     """A literal of the choice table, with the ranks of its abstract and
-    concrete keys among the table's literals and its arguments as
-    numbers: a variable by its index, a constant below zero."""
+    concrete keys among the table's literals, the store's id of its
+    head-anchored key and its arguments as numbers: a variable by its
+    index, a constant below zero."""
 
     arank: int
     crank: int
+    kid: int
     lit: Literal
     args: tuple[int, ...]
     used: int  # variables used after it
@@ -391,16 +426,22 @@ class HypothesisGenerator:
     value) next_hypothesis raises DeadlineExceeded, and a later call for
     that size starts the size over.
 
-    Every candidate meets the stored constraints in _passes: the
-    specialisation and generalisation constraints first, then the
-    pointless ones.  audit only decides whether a pointless rejection is
-    recorded, so an audited run takes the same path as a plain one.
+    Stratum assembly registers each stratum's rules with the store, in
+    stratum order, under integer keys built from the choice table, so a
+    candidate is a tuple of rule ids in rule_sort_key order.  Every
+    candidate meets the stored constraints in _passes: the specialisation
+    and generalisation constraints first, then the pointless ones.  A
+    frozenset of rules is built only for an emitted hypothesis or an audit
+    record; audit only decides whether a pointless rejection is recorded,
+    so an audited run takes the same path as a plain one.
 
     nodes_explored counts the bodies stratum assembly builds: every
     partial body it extends, the empty one included, and every complete
     body that is safe and connected, before the test against its
-    renamings.  time_stratum is the seconds spent in assembly, and
-    time_pointless_match the seconds spent matching candidates against
+    renamings.  time_stratum is the seconds spent in assembly,
+    time_check the seconds spent checking candidates against
+    specialisation and generalisation constraints and
+    time_pointless_match the seconds spent matching them against
     pointless constraints."""
 
     def __init__(self, bias: Bias, store: ConstraintStore, audit: bool = False,
@@ -411,11 +452,14 @@ class HypothesisGenerator:
         self.deadline = deadline
         self.nodes_explored = 0
         self.time_stratum = 0.0
+        self.time_check = 0.0
         self.time_pointless_match = 0.0
         self.emitted = 0
         self.considered = 0
         self.audit_records: list[AuditRecord] = []
+        self._table: Optional[list[list[_Choice]]] = None
         self._strata: dict[int, list[Rule]] = {}
+        self._stratum_ids: dict[int, list[int]] = {}
         self._streams: dict[int, Iterator[Hypothesis]] = {}
 
     # -- rule-level enumeration ------------------------------------------
@@ -428,7 +472,13 @@ class HypothesisGenerator:
         """For each count of variables used so far, every literal the bias
         allows next, sorted by abstract rank.  Variables are numbered in
         first-occurrence order, so each argument is a used variable, the
-        next unused one or an allowed constant."""
+        next unused one or an allowed constant.  Built once per generator.
+        The literals' head-anchored keys are interned in sorted order: in a
+        store that interned no other key first, a rule's sorted key ids
+        then list its literal keys in sorted order, and its sub-keys, with
+        them its first pointless match, follow that order."""
+        if self._table is not None:
+            return self._table
         bias = self.bias
         consts: dict[Const, int] = {}
         rows: list[list[tuple[Literal, tuple[int, ...], int, int]]] = []
@@ -453,14 +503,19 @@ class HypothesisGenerator:
         lits = {entry[0] for row in rows for entry in row}
         arank = {k: i for i, k in enumerate(sorted({abstract_key(l) for l in lits}))}
         crank = {l: i for i, l in enumerate(sorted(lits, key=concrete_key))}
-        return [sorted((_Choice(arank[abstract_key(lit)], crank[lit], lit, args, cur,
-                                cur > used, mask)
-                        for lit, args, cur, mask in row), key=lambda c: c.arank)
-                for used, row in enumerate(rows)]
+        head = self._head()
+        lkey = {l: _literal_key(l, head) for l in lits}
+        keys = sorted(set(lkey.values()))
+        kid = dict(zip(keys, self.store.key_ids(keys)))
+        self._table = [sorted((_Choice(arank[abstract_key(lit)], crank[lit], kid[lkey[lit]],
+                                       lit, args, cur, cur > used, mask)
+                               for lit, args, cur, mask in row), key=lambda c: c.arank)
+                       for used, row in enumerate(rows)]
+        return self._table
 
-    def _assemble(self, rule_size: int) -> list[Rule]:
+    def _assemble(self, rule_size: int) -> list[tuple[Rule, tuple[int, ...]]]:
         """The canonical, safe, connected rules of the given size, sorted by
-        rule_sort_key.
+        rule_sort_key, each with its integer key in the store.
 
         A body is built literal by literal from the choice table, with
         nondecreasing abstract ranks and variables named in first-occurrence
@@ -481,10 +536,11 @@ class HypothesisGenerator:
         head = self._head()
         n_head = bias.head[1]
         table = self._choice_table()
+        (head_id,) = self.store.key_ids((abstract_key(head),))
         aranks = [[c.arank for c in row] for row in table]
         crank_of = {(c.lit.pred, c.args): c.crank for row in table for c in row}
         head_mask = (1 << n_head) - 1
-        out: dict[tuple[int, ...], Rule] = {}
+        out: dict[tuple[int, ...], tuple[Rule, tuple[int, ...]]] = {}
 
         def extend(body: tuple[_Choice, ...], used: int, bound: int,
                    comps: tuple[int, ...], group_binds: bool, tied: bool):
@@ -526,57 +582,73 @@ class HypothesisGenerator:
                 own = tuple(sorted(b.crank for b in full))
                 if ambiguous and (own in out or not _is_canonical(full, own, n_head, crank_of)):
                     continue
-                out[own] = Rule(head, frozenset(b.lit for b in full))
+                out[own] = (Rule(head, frozenset(b.lit for b in full)),
+                            (head_id, *sorted(b.kid for b in full)))
 
         extend((), n_head, 0, (head_mask,) if head_mask else (), False, False)
         return [out[k] for k in sorted(out)]
 
     def rule_stratum(self, rule_size: int) -> list[Rule]:
+        """The stratum of rules of the given size, assembled and registered
+        with the store on the first call."""
         # a stratum whose assembly ran past the deadline is never cached
         if rule_size not in self._strata:
             t0 = time.perf_counter()
             try:
-                self._strata[rule_size] = self._assemble(rule_size)
+                assembled = self._assemble(rule_size)
+                self._stratum_ids[rule_size] = [self.store.register(rule, key)
+                                                for rule, key in assembled]
+                self._strata[rule_size] = [rule for rule, _ in assembled]
             finally:
                 self.time_stratum += time.perf_counter() - t0
         return self._strata[rule_size]
 
     # -- hypothesis-level enumeration ------------------------------------
 
-    def _candidates(self, size: int) -> Iterator[Hypothesis]:
+    def _candidates(self, size: int) -> Iterator[tuple[int, ...]]:
+        """The rule-id tuples of the given total size.  Groups ascend by rule
+        size and a stratum's ids are in stratum order, so each tuple lists
+        its rules in rule_sort_key order."""
         for groups in rule_groups(size, self.bias.max_rules):
 
-            def pick(gi: int, chosen: tuple[Rule, ...]) -> Iterator[Hypothesis]:
+            def pick(gi: int, chosen: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
                 if gi == len(groups):
-                    yield frozenset(chosen)
+                    yield chosen
                     return
                 part, count = groups[gi]
-                for sel in combinations(self.rule_stratum(part), count):
+                self.rule_stratum(part)
+                for sel in combinations(self._stratum_ids[part], count):
                     yield from pick(gi + 1, chosen + sel)
 
             yield from pick(0, ())
 
-    def _passes(self, h: Hypothesis) -> bool:
-        """Whether h survives every stored constraint; under audit, a
-        rejection by a pointless constraint alone is recorded."""
-        if self.store.violated_non_pointless(h):
-            return False
+    def _hypothesis(self, ids: tuple[int, ...]) -> Hypothesis:
+        return frozenset(self.store.rules[rid] for rid in ids)
+
+    def _passes(self, ids: tuple[int, ...]) -> bool:
+        """Whether the candidate survives every stored constraint; under
+        audit, a rejection by a pointless constraint alone is recorded."""
         t0 = time.perf_counter()
-        pv = self.store.first_pointless_violation(h)
-        self.time_pointless_match += time.perf_counter() - t0
+        violated = self.store.violated_non_pointless(ids)
+        t1 = time.perf_counter()
+        self.time_check += t1 - t0
+        if violated:
+            return False
+        pv = self.store.first_pointless_violation(ids)
+        self.time_pointless_match += time.perf_counter() - t1
         if pv is None:
             return True
         if self.audit:
-            self.audit_records.append(AuditRecord(h, *pv))
+            self.audit_records.append(AuditRecord(self._hypothesis(ids), *pv))
         return False
 
     def _stream(self, size: int) -> Iterator[Hypothesis]:
-        for h in self._candidates(size):
+        for ids in self._candidates(size):
             check_deadline(self.deadline)
             self.considered += 1
-            if self._passes(h):
+            if self._passes(ids):
                 self.emitted += 1
-                yield h
+                yield self._hypothesis(ids)
 
     def next_hypothesis(self, size: int) -> Optional[Hypothesis]:
         if size < 2:

@@ -68,6 +68,7 @@ class Stats:
     time_testing: float = 0.0
     time_stratum: float = 0.0  # rule-stratum assembly in the generator
     time_pointless_match: float = 0.0  # pointless-constraint matching in the generator
+    time_check: float = 0.0  # specialisation/generalisation checks in the generator
 
     def to_dict(self) -> dict:
         """The fields plus `overhead_fraction`, detection time over total
@@ -275,6 +276,7 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
         stats.nodes_explored = gen.nodes_explored
         stats.time_stratum = gen.time_stratum
         stats.time_pointless_match = gen.time_pointless_match
+        stats.time_check = gen.time_check
         stats.constraints = store.counts()
         if tester is not None:
             stats.coverage_extensions = tester.coverage_extensions

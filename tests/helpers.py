@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import random
 from itertools import permutations, product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from razor import Const, Literal, Rule, Var, learn, least_model, search
-from razor.logic import Hypothesis, var_name
+from razor.logic import Hypothesis, hypothesis_sorted, var_name
 from razor.taskio import parse_rules, parse_task_strings
 
 
@@ -21,6 +21,13 @@ def parse_rule(text: str) -> Rule:
 
 def parse_hypothesis(text: str) -> Hypothesis:
     return frozenset(parse_rules(text))
+
+
+def rule_ids(store, rules: Iterable[Rule]) -> tuple[int, ...]:
+    """The rules as the generator hands a candidate to a ConstraintStore:
+    their ids in rule_sort_key order, each rule registered on first
+    sight."""
+    return tuple(store.rule_id(r) for r in hypothesis_sorted(rules))
 
 
 def lit(pred: str, *args: str) -> Literal:

@@ -39,7 +39,8 @@ def test_learn_writes_versioned_stats(capsys, fixtures_dir, tmp_path):
     assert record["best_errors"] == 0
     assert record["config"]["seed"] == 7
     for field in ("generated", "considered", "tested", "time_total", "time_detection",
-                  "time_testing", "time_stratum", "time_pointless_match", "constraints",
+                  "time_testing", "time_stratum", "time_pointless_match", "time_check",
+                  "constraints",
                   "evidence", "detect_subsumed", "detect_futile", "coverage_extensions",
                   "overhead_fraction", "pruning_overhead_fraction"):
         assert field in record["stats"]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import parse_hypothesis
+from helpers import parse_hypothesis, parse_rule, rule_ids
 
 from razor import (
     Bias,
@@ -13,7 +13,9 @@ from razor import (
     ConstraintStore,
     DetectMode,
     HypothesisGenerator,
+    LearnConfig,
     find_pointless,
+    learn,
     least_model,
     parse_task,
 )
@@ -51,6 +53,11 @@ def _pointless_con(task, text):
 
 def _canon(text):
     return canonicalize_hypothesis(parse_hypothesis(text))
+
+
+def _store_rejects(store, h):
+    ids = rule_ids(store, h)
+    return store.violated_non_pointless(ids) or store.first_pointless_violation(ids) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +172,7 @@ def test_store_mirrors_violates_semantics(intro_task):
     ]
     for h in candidates:
         expected = any(violates(h, c) for c in cons)
-        got = store.violated_non_pointless(h) or \
-            store.first_pointless_violation(h) is not None
-        assert got == expected, f"{h} expected {expected}"
+        assert _store_rejects(store, h) == expected, f"{h} expected {expected}"
 
 
 def test_refresh_tests_only_new_pointless_constraints(monkeypatch):
@@ -186,12 +191,62 @@ def test_refresh_tests_only_new_pointless_constraints(monkeypatch):
     first, second = con("lt(A,B)"), con("gt(B,3)")
     store = ConstraintStore()
     store.add(first)
-    assert store.pointless_match(rule) is None
-    assert store.pointless_match(rule) is None
+    (rid,) = rule_ids(store, {rule})
+    assert store.pointless_match(rid) is None
+    assert store.pointless_match(rid) is None
     assert calls == [first]
     store.add(second)
-    assert store.pointless_match(rule)[0] is second
+    assert store.pointless_match(rid)[0] is second
     assert calls == [first, second]
+
+
+def test_a_head_of_another_shape_shares_no_bucket(monkeypatch):
+    # constraints on rules headed f(A,A) are filed apart from the
+    # generator's f(A,B) rules, so no candidate of the generator is ever
+    # tested against them, and a candidate headed f(A,A) still is
+    calls = []
+    for name in ("renamed_subrule", "_pointless_match"):
+        real = getattr(generate, name)
+        monkeypatch.setattr(generate, name, lambda *a, real=real: calls.append(a) or real(*a))
+    bias = Bias(head=("f", 2), body_preds=(("e", 2),), max_vars=3, max_body=2, max_rules=2)
+    wide = parse_rule("f(A,A) :- e(A,A), e(A,B).")
+    ev = PointlessEvidence(wide, next(l for l in wide.body if repr(l) == "e(A,B)"),
+                           PointlessKind.REDUCIBLE, parse_rule("f(A,A) :- e(A,A)."))
+    cons = [
+        Constraint(ConstraintKind.SPECIALISATION, hypothesis=_canon("f(A,A) :- e(A,B).")),
+        Constraint(ConstraintKind.GENERALISATION, hypothesis=frozenset({wide})),
+        Constraint(ConstraintKind.POINTLESS_SUPER_RULE, evidence=ev),
+    ]
+    store = ConstraintStore()
+    for c in cons:
+        store.add(c)
+    candidates = [h for size in range(2, bias.max_size + 1) for h in enumerate_all(bias, size)]
+    assert candidates
+    for h in candidates:
+        assert not any(violates(h, c) for c in cons), h
+        assert not _store_rejects(store, h), h
+    gen = HypothesisGenerator(bias, store)
+    emitted = [h for size in range(2, bias.max_size + 1) for h in _drain(gen, size)]
+    assert sorted(map(hypothesis_key, emitted)) == sorted(map(hypothesis_key, candidates))
+    assert calls == []
+    # the control: the same head shape is matched
+    assert _store_rejects(store, _canon("f(A,A) :- e(A,B), e(B,B)."))
+    assert calls
+
+
+def test_no_rule_cache_outlives_a_run(intro_task):
+    defined = [obj for obj in vars(generate).values()
+               if getattr(obj, "__module__", None) == generate.__name__]
+    members = [m for cls in defined if isinstance(cls, type) for m in vars(cls).values()]
+    assert [obj for obj in defined + members if hasattr(obj, "cache_info")] == []
+
+    def counters(result):
+        stats = {k: v for k, v in result.stats.to_dict().items()
+                 if not k.startswith("time_") and not k.endswith("fraction")}
+        return stats, result.best, result.best_score, result.evidence, result.audit_records
+
+    config = LearnConfig(audit=True)
+    assert counters(learn(intro_task, config)) == counters(learn(intro_task, config))
 
 
 def _all_candidates(mt):
@@ -243,9 +298,7 @@ def test_store_index_agrees_with_violates_on_micro_strata(seed):
         allowed = set()
         for h in candidates:
             expected = any(violates(h, c) for c in cons)
-            got = store.violated_non_pointless(h) or \
-                store.first_pointless_violation(h) is not None
-            assert got == expected, (h, expected)
+            assert _store_rejects(store, h) == expected, (h, expected)
             if not expected:
                 allowed.add(h)
     gen = HypothesisGenerator(mt.task.bias, store)
@@ -447,7 +500,7 @@ def test_deadline_fires_before_any_candidate_is_matched(intro_task, monkeypatch)
     assert gen.rule_stratum(4)  # assembled and cached before the deadline
     matched = []
     real = store.pointless_match
-    monkeypatch.setattr(store, "pointless_match", lambda r: matched.append(r) or real(r))
+    monkeypatch.setattr(store, "pointless_match", lambda rid: matched.append(rid) or real(rid))
     gen.deadline = 0.0
     with pytest.raises(DeadlineExceeded):
         gen.next_hypothesis(4)

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from helpers import ground, lit, parse_rule
+from helpers import ground, lit, parse_rule, rule_ids
 
 from razor import (Const, covers_rule, find_pointless, implies, least_model, parse_rules,
                    parse_task_strings)
@@ -101,12 +101,38 @@ def test_bench_pointless_match_over_a_stratum(benchmark, intro_task):
         store = ConstraintStore()
         for c in constraints:
             store.add(c)
-        return (store,), {}
+        return (store, rule_ids(store, stratum)), {}
 
-    def unmatched(store):
-        return sum(store.pointless_match(r) is None for r in stratum)
+    def unmatched(store, ids):
+        return sum(store.pointless_match(rid) is None for rid in ids)
 
     kept = benchmark.pedantic(unmatched, setup=fresh_store, rounds=SLOW_ROUNDS,
+                              iterations=1, warmup_rounds=1)
+    assert 0 < kept < len(stratum)
+
+
+def test_bench_spec_check_over_a_stratum(benchmark, intro_task):
+    # checking every rule of intro's size-4 stratum, as a one-rule
+    # candidate, against the specialisation constraints of the smaller
+    # rules that miss a positive, as a noiseless run stores them; each
+    # round starts from a fresh store with the stratum registered
+    gen = HypothesisGenerator(intro_task.bias, ConstraintStore())
+    tester = CoverageTester(intro_task.bk, intro_task.pos, intro_task.neg)
+    constraints = [Constraint(ConstraintKind.SPECIALISATION, hypothesis=frozenset({r}))
+                   for size in (2, 3) for r in gen.rule_stratum(size)
+                   if tester.rule_masks(r)[0].bit_count() < len(intro_task.pos)]
+    stratum = gen.rule_stratum(4)
+
+    def fresh_store():
+        store = ConstraintStore()
+        for c in constraints:
+            store.add(c)
+        return (store, rule_ids(store, stratum)), {}
+
+    def passed(store, ids):
+        return sum(not store.violated_non_pointless((rid,)) for rid in ids)
+
+    kept = benchmark.pedantic(passed, setup=fresh_store, rounds=SLOW_ROUNDS,
                               iterations=1, warmup_rounds=1)
     assert 0 < kept < len(stratum)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import checked_learn, ground, parse_hypothesis, parse_rule
+from helpers import checked_learn, ground, parse_hypothesis, parse_rule, rule_ids
 
 from razor import (
     CostScore,
@@ -263,6 +263,7 @@ def test_learn_stats_are_consistent(intro_task):
     assert s.time_detection <= s.time_total
     assert s.time_testing <= s.time_total
     assert 0 < s.time_stratum <= s.time_total
+    assert 0 <= s.time_check <= s.time_total
     assert sum(s.evidence.values()) <= s.tested
     assert set(s.constraints) == {"specialisation", "generalisation", "pointless-super-rule"}
     # intro has one rule per hypothesis: no generalisation constraint
@@ -433,7 +434,7 @@ def _assert_futile_constraints_ban_nothing_else(task, space, skipped):
     skipped_sizes = {h: next(iter(h)).size for h in skipped}
     for h in space:
         store = smaller_than[skipped_sizes.get(h, everything)]
-        assert store.first_pointless_violation(h) is None, (task.name, set(h))
+        assert store.first_pointless_violation(rule_ids(store, h)) is None, (task.name, set(h))
 
 
 def test_skipped_detections_could_ban_nothing(fixtures_dir, monkeypatch):
@@ -562,7 +563,7 @@ def test_one_rule_slot_matches_no_rule_past_the_optimum(intro_task, monkeypatch)
     matched = []
     real = ConstraintStore.pointless_match
     monkeypatch.setattr(ConstraintStore, "pointless_match",
-                        lambda self, r: matched.append(r) or real(self, r))
+                        lambda self, rid: matched.append(self.rules[rid]) or real(self, rid))
     result = learn(intro_task)
     (optimum,) = result.best
     stratum = HypothesisGenerator(intro_task.bias, ConstraintStore()).rule_stratum(4)
