@@ -11,6 +11,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, combinations, groupby, permutations, product
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .deadline import DeadlineExceeded, check_deadline
@@ -115,10 +116,12 @@ def _literal_key(lit: Literal, head: Literal) -> tuple:
 
 def _sub_keys(key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The integer key of every sub-body of a rule with the given key, the
-    empty one included, each listing its literal ids in the rule's order."""
-    head, *lits = key
-    return tuple(dict.fromkeys(
-        (head, *sub) for n in range(len(lits) + 1) for sub in combinations(lits, n)))
+    empty one included, each listing its literal ids in the rule's order.
+    Literal ids repeat (p(A,B) and p(A,C) share one), so equal sub-keys are
+    kept once, at their first place."""
+    head, lits = key[:1], key[1:]
+    return tuple(dict.fromkeys([head + sub for n in range(len(key))
+                                for sub in combinations(lits, n)]))
 
 
 def _pointless_match(c: Constraint, r: Rule) -> Optional[tuple[Rule, Literal, Rule]]:
@@ -381,37 +384,81 @@ def rule_groups(size: int, max_rules: int) -> Iterator[tuple[tuple[int, int], ..
             yield tuple((part, len(list(run))) for part, run in groupby(comp))
 
 
-class _Choice(NamedTuple):
-    """A literal of the choice table, with the ranks of its abstract and
-    concrete keys among the table's literals, the store's id of its
-    head-anchored key and its arguments as numbers: a variable by its
-    index, a constant below zero."""
-
-    arank: int
-    crank: int
-    kid: int
-    lit: Literal
-    args: tuple[int, ...]
-    used: int  # variables used after it
-    binds: bool  # it names a new variable
-    mask: int  # bitmask of its variables
+# A choice is a literal the choice table allows next, as a tuple of
+# integers: (abstract rank, concrete rank, rank bit, bitmask of its
+# variables, variables used after it, whether it names a new variable).
+_Choice = tuple[int, int, int, int, int, bool]
 
 
-def _is_canonical(body: tuple[_Choice, ...], own: tuple[int, ...], n_head: int,
-                  crank_of: Mapping[tuple, int]) -> bool:
-    """canonicalize's test on ranks: whether no reordering of the tie groups
-    that bind a variable renames the body, in first-occurrence order, to
-    a smaller sorted tuple of concrete ranks than its own."""
-    groups = [tuple(g) for _, g in groupby(body, key=lambda c: c.arank)]
-    for seq in product(*(permutations(g) if any(c.binds for c in g) else (g,)
-                         for g in groups)):
-        names: dict[int, int] = {}
-        ranks = []
+class _ChoiceTable(NamedTuple):
+    """The literals a bias allows in a body, numbered by concrete rank (their
+    order under concrete_key), and the choices that may come next after
+    each count of used variables.
+
+    The literal of concrete rank r has the rank bit 1 << (n - 1 - r), n
+    being the number of literals.  A body's rank set is the OR of its
+    literals' rank bits, and of two bodies of one size the one with the
+    larger rank set has the smaller sorted tuple of concrete ranks: the
+    lowest rank in one body and not the other is in that body.
+
+    A literal's code is an integer that names it: the index of its
+    predicate plus the number of predicates times the digits of its
+    arguments, read in a base above every digit.  A variable's digit is
+    its index and a constant's is max_vars plus its number.  renames
+    holds, for each literal, its code with every variable that is not a
+    head variable read as 0, and the (multiplier, variable) of each such
+    argument: renaming those variables adds multiplier times new name
+    for each."""
+
+    rows: list[list[_Choice]]  # per count of used variables, by abstract rank
+    starts: list[list[int]]  # starts[u][a + 1]: the index of row u's first choice of abstract rank a or more
+    lits: list[Literal]  # by concrete rank
+    kids: list[int]  # by concrete rank: the store's id of the head-anchored key
+    renames: list[tuple[int, tuple[tuple[int, int], ...]]]  # by concrete rank
+    bit_of: dict[int, int]  # a literal's code -> its rank bit
+
+
+def _is_canonical(body: tuple[_Choice, ...], own: int, table: _ChoiceTable,
+                  n_head: int) -> bool:
+    """canonicalize's test on integers: whether no reordering of the tie
+    groups (choices of equal abstract rank) that bind a variable renames
+    the body, in first-occurrence order, to a larger rank set than own,
+    the body's own.  A group binds when the count of used variables grows
+    across it.  The groups before the first tied group that binds keep
+    their order, and so their literals and the names of their variables;
+    the identity ordering, which renames the body to itself, is skipped."""
+    fixed, used, start = 0, n_head, -1
+    factors = []  # the orderings of each group from the first tied one that binds
+    for _, group in groupby(body, key=itemgetter(0)):
+        g = tuple(group)
+        after = g[-1][4]
+        if start >= 0:
+            factors.append(permutations(g) if after > used else (g,))
+        elif after > used and len(g) > 1:
+            start = used
+            factors.append(permutations(g))
+        else:
+            for c in g:
+                fixed |= c[2]
+        used = after
+    orderings = product(*factors)
+    next(orderings)
+    renames, bit_of = table.renames, table.bit_of
+    for seq in orderings:
+        names: dict[int, int] = {}  # the new names of the variables from start on
+        bits = fixed
         for c in chain.from_iterable(seq):
-            args = tuple(names.setdefault(a, n_head + len(names)) if a >= n_head else a
-                         for a in c.args)
-            ranks.append(crank_of[c.lit.pred, args])
-        if tuple(sorted(ranks)) < own:
+            code, slots = renames[c[1]]
+            if not slots:
+                bits |= c[2]
+                continue
+            for mult, v in slots:
+                if v < start:
+                    code += mult * v
+                else:
+                    code += mult * names.setdefault(v, start + len(names))
+            bits |= bit_of[code]
+        if bits > own:
             return False
     return True
 
@@ -457,7 +504,7 @@ class HypothesisGenerator:
         self.emitted = 0
         self.considered = 0
         self.audit_records: list[AuditRecord] = []
-        self._table: Optional[list[list[_Choice]]] = None
+        self._table: Optional[_ChoiceTable] = None
         self._strata: dict[int, list[Rule]] = {}
         self._stratum_ids: dict[int, list[int]] = {}
         self._streams: dict[int, Iterator[Hypothesis]] = {}
@@ -468,7 +515,7 @@ class HypothesisGenerator:
         name, arity = self.bias.head
         return Literal(name, tuple(Var(var_name(i)) for i in range(arity)))
 
-    def _choice_table(self) -> list[list[_Choice]]:
+    def _choice_table(self) -> _ChoiceTable:
         """For each count of variables used so far, every literal the bias
         allows next, sorted by abstract rank.  Variables are numbered in
         first-occurrence order, so each argument is a used variable, the
@@ -480,16 +527,20 @@ class HypothesisGenerator:
         if self._table is not None:
             return self._table
         bias = self.bias
+        preds = bias.generatable_preds()
         consts: dict[Const, int] = {}
-        rows: list[list[tuple[Literal, tuple[int, ...], int, int]]] = []
+        args_of: dict[Literal, tuple[int, ...]] = {}  # a variable by its index, a constant below zero
+        rows: list[list[tuple[Literal, int, int]]] = []
         for used in range(bias.max_vars + 1):
-            row: list[tuple[Literal, tuple[int, ...], int, int]] = []
-            for pred in bias.generatable_preds():
+            row: list[tuple[Literal, int, int]] = []
+            for pred in preds:
                 name, arity = pred
 
                 def fill(i: int, terms: tuple, args: tuple, cur: int, mask: int):
                     if i == arity:
-                        row.append((Literal(name, terms), args, cur, mask))
+                        lit = Literal(name, terms)
+                        args_of[lit] = args
+                        row.append((lit, cur, mask))
                         return
                     for v in range(min(cur + 1, bias.max_vars)):
                         fill(i + 1, terms + (Var(var_name(v)),), args + (v,),
@@ -500,35 +551,56 @@ class HypothesisGenerator:
 
                 fill(0, (), (), used, 0)
             rows.append(row)
-        lits = {entry[0] for row in rows for entry in row}
+        lits = sorted(args_of, key=concrete_key)
+        n = len(lits)
+        crank = {l: i for i, l in enumerate(lits)}
         arank = {k: i for i, k in enumerate(sorted({abstract_key(l) for l in lits}))}
-        crank = {l: i for i, l in enumerate(sorted(lits, key=concrete_key))}
         head = self._head()
         lkey = {l: _literal_key(l, head) for l in lits}
         keys = sorted(set(lkey.values()))
         kid = dict(zip(keys, self.store.key_ids(keys)))
-        self._table = [sorted((_Choice(arank[abstract_key(lit)], crank[lit], kid[lkey[lit]],
-                                       lit, args, cur, cur > used, mask)
-                               for lit, args, cur, mask in row), key=lambda c: c.arank)
-                       for used, row in enumerate(rows)]
+        n_head, base = bias.head[1], bias.max_vars + len(consts)
+        pred_index = {pred: i for i, pred in enumerate(preds)}
+        renames, bit_of = [], {}
+        for r, lit in enumerate(lits):
+            code, mult, slots = pred_index[lit.pred_key], len(preds), []
+            for a in args_of[lit]:
+                if a >= n_head:
+                    slots.append((mult, a))
+                else:
+                    code += mult * (a if a >= 0 else bias.max_vars - 1 - a)
+                mult *= base
+            renames.append((code, tuple(slots)))
+            bit_of[code + sum(m * a for m, a in slots)] = 1 << (n - 1 - r)
+        table_rows = [sorted(((arank[abstract_key(lit)], crank[lit], 1 << (n - 1 - crank[lit]),
+                               mask, cur, cur > used) for lit, cur, mask in row),
+                             key=itemgetter(0))
+                      for used, row in enumerate(rows)]
+        starts = [[bisect_left(row, (a,)) for a in range(-1, len(arank))] for row in table_rows]
+        self._table = _ChoiceTable(table_rows, starts, lits, [kid[lkey[l]] for l in lits],
+                                   renames, bit_of)
         return self._table
 
     def _assemble(self, rule_size: int) -> list[tuple[Rule, tuple[int, ...]]]:
         """The canonical, safe, connected rules of the given size, sorted by
         rule_sort_key, each with its integer key in the store.
 
-        A body is built literal by literal from the choice table, with
+        A body is built choice by choice from the choice table, with
         nondecreasing abstract ranks and variables named in first-occurrence
-        order: the order in which canonicalize names them.  Body variables
-        and components are tracked as bitmasks, and the last slot takes
-        only literals that cover the head variables still missing and join
-        every component into one.  A body is its own canonical form, and
-        the only body of its rule, when no tie group (literals of equal
-        abstract rank) names a new variable and each run of tied literals
-        that name none is in concrete order; only the remaining bodies are
-        tested against their renamings, and kept once.  Within a stratum
-        the sorted tuple of concrete ranks orders rules as rule_sort_key
-        does."""
+        order: the order in which canonicalize names them.  The search runs
+        on the table's integers alone: body variables, components and
+        concrete ranks (the rank set) are bitmasks, and no Literal is
+        touched until a kept body becomes a Rule.  The last slot takes only
+        the choices that cover the head variables still missing and join
+        every component into one, filtered from the row once per count of
+        used variables, missing head variables and components.  A body is
+        its own canonical form, and the only body of its rule, when no tie
+        group (literals of equal abstract rank) names a new variable and
+        each run of tied literals that name none is in concrete order; only
+        the remaining bodies are tested against their renamings
+        (_is_canonical), and kept once.  Within a stratum a larger rank set
+        orders rules as a smaller sorted tuple of concrete ranks, which is
+        how rule_sort_key orders them."""
         bias = self.bias
         body_size = rule_size - 1
         if body_size < 1 or body_size > bias.max_body:
@@ -536,57 +608,73 @@ class HypothesisGenerator:
         head = self._head()
         n_head = bias.head[1]
         table = self._choice_table()
+        rows, starts, lits, kids = table.rows, table.starts, table.lits, table.kids
         (head_id,) = self.store.key_ids((abstract_key(head),))
-        aranks = [[c.arank for c in row] for row in table]
-        crank_of = {(c.lit.pred, c.args): c.crank for row in table for c in row}
         head_mask = (1 << n_head) - 1
-        out: dict[tuple[int, ...], tuple[Rule, tuple[int, ...]]] = {}
+        deadline = self.deadline
+        out: dict[int, tuple[Rule, tuple[int, ...]]] = {}
+        # the choices that can end a body: (used, missing head variables,
+        # components) -> the row's choices that cover and join them all
+        closing: dict[tuple[int, ...], list[_Choice]] = {}
 
-        def extend(body: tuple[_Choice, ...], used: int, bound: int,
-                   comps: tuple[int, ...], group_binds: bool, tied: bool):
+        def extend(body: tuple[_Choice, ...], used: int, bound: int, comps: list[int],
+                   bits: int, group_binds: bool, tied: bool):
             # bound: bitmask of the body's variables; comps: bitmasks of the
-            # components of the head and body; group_binds: the last tie
-            # group names a new variable; tied: some tie group did
-            check_deadline(self.deadline)
+            # components of the head and body; bits: the body's rank set;
+            # group_binds: the last tie group names a new variable; tied:
+            # some tie group did
+            check_deadline(deadline)
             self.nodes_explored += 1
-            prev = body[-1] if body else None
-            last_slot = len(body) + 1 == body_size
-            missing = head_mask & ~bound
-            row = table[used]
-            for c in row[bisect_left(aranks[used], prev.arank) if prev else 0:]:
-                mask = c.mask
-                binds, ambiguous = c.binds, tied
-                if prev is not None and c.arank == prev.arank:
-                    if not c.binds and (any(b.crank == c.crank for b in body)
-                                        or (not prev.binds and c.crank < prev.crank)):
-                        continue
-                    binds = group_binds or c.binds
-                    ambiguous = tied or binds
-                if not last_slot:
+            if body:
+                arank0, crank0, _, _, _, binds0 = body[-1]
+            else:
+                arank0, crank0, binds0 = -1, -1, False
+            if len(body) + 1 < body_size:
+                for c in rows[used][starts[used][arank0 + 1]:]:
+                    arank, crank, rbit, mask, cur, binds = c
+                    ambiguous = tied
+                    if arank == arank0:
+                        if not binds and (bits & rbit or not binds0 and crank < crank0):
+                            continue
+                        binds = binds or group_binds
+                        ambiguous = tied or binds
                     joined = comps
                     if mask:
-                        merged = mask
+                        merged, joined = mask, []
                         for k in comps:
                             if k & mask:
                                 merged |= k
-                        joined = (*(k for k in comps if not k & mask), merged)
-                    extend(body + (c,), c.used, bound | mask, joined, binds, ambiguous)
-                    continue
-                # the last literal makes the rule safe and connected
-                if missing & ~mask or not (all(k & mask for k in comps) if mask
-                                           else len(comps) <= 1):
-                    continue
-                check_deadline(self.deadline)
+                            else:
+                                joined.append(k)
+                        joined.append(merged)
+                    extend(body + (c,), cur, bound | mask, joined, bits | rbit, binds, ambiguous)
+                return
+            # the last literal makes the rule safe and connected
+            missing = head_mask & ~bound
+            key = (used, missing, *comps)
+            fits = closing.get(key)
+            if fits is None:
+                fits = closing[key] = [
+                    c for c in rows[used] if not missing & ~c[3]
+                    and (all(map(c[3].__and__, comps)) if c[3] else len(comps) <= 1)]
+            for c in fits[bisect_left(fits, (arank0,)):]:
+                arank, crank, rbit, _, _, binds = c
+                ambiguous = tied
+                if arank == arank0:
+                    if not binds and (bits & rbit or not binds0 and crank < crank0):
+                        continue
+                    ambiguous = tied or binds or group_binds
+                check_deadline(deadline)
                 self.nodes_explored += 1
+                own = bits | rbit
                 full = body + (c,)
-                own = tuple(sorted(b.crank for b in full))
-                if ambiguous and (own in out or not _is_canonical(full, own, n_head, crank_of)):
+                if ambiguous and (own in out or not _is_canonical(full, own, table, n_head)):
                     continue
-                out[own] = (Rule(head, frozenset(b.lit for b in full)),
-                            (head_id, *sorted(b.kid for b in full)))
+                out[own] = (Rule(head, frozenset([lits[b[1]] for b in full])),
+                            (head_id, *sorted([kids[b[1]] for b in full])))
 
-        extend((), n_head, 0, (head_mask,) if head_mask else (), False, False)
-        return [out[k] for k in sorted(out)]
+        extend((), n_head, 0, [head_mask] if head_mask else [], 0, False, False)
+        return [out[k] for k in sorted(out, reverse=True)]
 
     def rule_stratum(self, rule_size: int) -> list[Rule]:
         """The stratum of rules of the given size, assembled and registered

@@ -279,10 +279,6 @@ def hypothesis_sorted(h: Hypothesis) -> list[Rule]:
     return sorted(h, key=rule_sort_key)
 
 
-def hypothesis_key(h: Hypothesis) -> tuple:
-    return tuple(rule_sort_key(r) for r in hypothesis_sorted(h))
-
-
 # ---------------------------------------------------------------------------
 # renaming-aware subrule matching
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from itertools import permutations, product
 from typing import Iterable, Iterator
 
 from razor import Const, Literal, Rule, Var, learn, least_model, search
-from razor.logic import Hypothesis, hypothesis_sorted, var_name
+from razor.logic import Hypothesis, hypothesis_sorted, rule_sort_key, var_name
 from razor.taskio import parse_rules, parse_task_strings
 
 
@@ -21,6 +21,12 @@ def parse_rule(text: str) -> Rule:
 
 def parse_hypothesis(text: str) -> Hypothesis:
     return frozenset(parse_rules(text))
+
+
+def hypothesis_key(h: Hypothesis) -> tuple:
+    """A sort key of a hypothesis: its rules' sort keys in rule_sort_key
+    order."""
+    return tuple(rule_sort_key(r) for r in hypothesis_sorted(h))
 
 
 def rule_ids(store, rules: Iterable[Rule]) -> tuple[int, ...]:

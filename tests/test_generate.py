@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import parse_hypothesis, parse_rule, rule_ids
+from helpers import hypothesis_key, parse_hypothesis, parse_rule, rule_ids
 
 from razor import (
     Bias,
@@ -26,7 +26,6 @@ from razor.logic import (
     Rule,
     canonicalize,
     canonicalize_hypothesis,
-    hypothesis_key,
     hypothesis_size,
     in_search_space,
     rename_literal,
@@ -473,6 +472,32 @@ def test_empty_store_stratum_is_the_oracle_stratum(fixtures_dir):
             for rule in stratum:
                 assert canonicalize(rule) == rule, (name, rule)
                 assert in_search_space(rule), (name, rule)
+
+
+def test_canonical_test_agrees_with_canonicalize(fixtures_dir, monkeypatch):
+    # every complete body the assembler hands to its canonical test, the
+    # rejected ones included, gets canonicalize's answer for its rule
+    real = generate._is_canonical
+    answers = []
+
+    def checked(body, own, table, n_head):
+        got = real(body, own, table, n_head)
+        answers.append((frozenset(table.lits[c[1]] for c in body), got))
+        return got
+
+    monkeypatch.setattr(generate, "_is_canonical", checked)
+    checked_n = rejected = 0
+    for name, task, _ in _drained_tasks(fixtures_dir):
+        gen = HypothesisGenerator(task.bias, ConstraintStore())
+        for rule_size in range(2, task.bias.max_body + 2):
+            gen.rule_stratum(rule_size)
+        for body, got in answers:
+            rule = Rule(gen._head(), body)
+            assert got == (canonicalize(rule) == rule), (name, rule)
+            rejected += not got
+        checked_n += len(answers)
+        answers.clear()
+    assert 0 < rejected < checked_n
 
 
 def test_stratum_matches_oracle_enumeration():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_renamed_subrule, brute_force_renamings, lit, parse_rule, random_rule
+from helpers import (brute_force_renamed_subrule, brute_force_renamings, hypothesis_key, lit,
+                     parse_rule, random_rule)
 
 from razor import (
     Rule,
@@ -15,7 +16,7 @@ from razor import (
     renamed_subrule,
     subrule,
 )
-from razor.logic import hypothesis_key, in_search_space, iter_renamings, rename_literal
+from razor.logic import in_search_space, iter_renamings, rename_literal
 from razor.reference import sub_hypothesis
 
 

@@ -2,10 +2,11 @@
 least_model run on a store the size of a recursive-chain task: a 200-node
 chain with forward skips, its reverse and 100 random links.  Constraint
 matching, pack coverage, canonicalize and iter_renamings run over intro's
-strata, and the task parser over a 1,000-edge chain.  Each runs a fixed number of rounds, so the module stays under
-four seconds; nothing is saved unless pytest-benchmark is asked to
-(``--benchmark-autosave``).  ``--benchmark-disable`` runs each body once
-as a plain test."""
+strata, stratum assembly over eight_puzzle_mini's size-4 stratum, and the
+task parser over a 1,000-edge chain.  Each runs a fixed number of rounds,
+so the module stays under four seconds; nothing is saved unless
+pytest-benchmark is asked to (``--benchmark-autosave``).
+``--benchmark-disable`` runs each body once as a plain test."""
 
 import random
 
@@ -183,6 +184,20 @@ def test_bench_iter_renamings_between_strata(benchmark, intro_strata):
 
     found = benchmark.pedantic(renamings, rounds=SLOW_ROUNDS, iterations=1, warmup_rounds=1)
     assert 0 < found < len(pairs)
+
+
+def test_bench_stratum_assembly(benchmark, puzzle_task):
+    # a fresh generator, choice table included, assembles eight_puzzle_mini's
+    # size-4 stratum each round, as the first run to reach that size does
+    def fresh_generator():
+        return (HypothesisGenerator(puzzle_task.bias, ConstraintStore()),), {}
+
+    def assemble(gen):
+        return len(gen.rule_stratum(4)), gen.nodes_explored
+
+    got = benchmark.pedantic(assemble, setup=fresh_generator, rounds=SLOW_ROUNDS,
+                             iterations=1, warmup_rounds=1)
+    assert got == (1148, 3021)
 
 
 def test_bench_parse_chain_task(benchmark):

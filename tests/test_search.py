@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import importlib.util
 import random
 import sys
@@ -21,7 +23,7 @@ from razor import (
 )
 from razor import search
 from razor.deadline import DeadlineExceeded
-from razor.generate import HypothesisGenerator
+from razor.generate import ConstraintStore, HypothesisGenerator
 from razor.search import EXHAUSTED, PERFECT, TIMEOUT, build_cons, CoverageTester
 from razor.logic import hypothesis_size
 from razor.microtask import random_task
@@ -122,13 +124,23 @@ def test_learn_timeout_returns_best_seen(intro_task):
 
 
 def test_learn_timeout_is_honoured_during_stratum_assembly(puzzle_task):
-    # assembling eight_puzzle_mini's larger strata takes far longer than the
-    # timeout, so the deadline must be checked inside the assembly
+    # learn hands its deadline to the generator.  Under max_body(4),
+    # eight_puzzle_mini's size-5 stratum holds 24,075 rules and takes far
+    # longer than the timeout to assemble, and it is the first thing a
+    # size-5 stream does, so the deadline lands inside the assembly
+    bias = dataclasses.replace(puzzle_task.bias, max_body=4)
+    gen = HypothesisGenerator(bias, ConstraintStore())
+    # after the rest of the suite a full collection takes 0.15-0.25 s;
+    # collecting first keeps one out of the timed window
+    gc.collect()
     t0 = time.perf_counter()
-    result = learn(puzzle_task, LearnConfig(timeout=0.05))
+    gen.deadline = t0 + 0.05
+    with pytest.raises(DeadlineExceeded):
+        gen.next_hypothesis(5)
     elapsed = time.perf_counter() - t0
-    assert result.termination == TIMEOUT
     assert elapsed < 0.05 + 0.2
+    assert gen.nodes_explored > 0 and gen.considered == 0
+    assert 5 not in gen._strata  # a stratum cut short is not cached
 
 
 _CHAIN_TASK = (
