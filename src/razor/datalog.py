@@ -563,11 +563,11 @@ def least_model(program: Iterable[Rule], base: Optional[FactStore] = None,
 
 def head_binding(rule: Rule, example: Literal) -> Optional[Substitution]:
     """Substitution binding the head variables so the head equals the
-    example, or None when the head cannot match."""
+    example, or None when the head cannot match: the example is of another
+    predicate, or a head constant or repeated head variable disagrees with
+    it."""
     if rule.head.pred_key != example.pred_key:
-        raise ValueError(
-            f"example {example!r} does not match head {rule.head!r}"
-        )
+        return None
     theta: Substitution = {}
     for t, e in zip(rule.head.args, example.args):
         if isinstance(t, Const):

@@ -118,10 +118,13 @@ def find_pointless(
     every rule canonical).  For each captured body literal the reducible
     test runs before the indiscriminate test.  By default the first piece
     of evidence is returned (as a one-element list); with exhaustive=True
-    every (rule, literal) finding in the hypothesis is collected.  Past
-    the deadline (a time.perf_counter value), checked before each
-    captured literal and each negative example's implication test, it
-    raises DeadlineExceeded.
+    every (rule, literal) finding in the hypothesis is collected.  The
+    negatives are passed through as given: the indiscriminate test skips
+    each one the rule's head cannot bind (head_binding is None), as any of
+    another predicate, so a rule about another predicate than theirs gets
+    at most a vacuous indiscriminate claim.  Past the deadline (a
+    time.perf_counter value), checked before each captured literal and
+    each negative example's implication test, it raises DeadlineExceeded.
     """
     if mode is DetectMode.OFF:
         return []
@@ -129,12 +132,11 @@ def find_pointless(
     for rule in sorted(h, key=rule_sort_key):
         if not is_basic(rule, h):
             continue
-        rule_neg = [e for e in neg if e.pred_key == rule.head.pred_key]
         for lit in sorted(rule.body, key=concrete_key):
             if not captured(rule, lit):
                 continue
             check_deadline(deadline)
-            ev = check_literal(store, rule, lit, rule_neg, domain, mode, deadline)
+            ev = check_literal(store, rule, lit, neg, domain, mode, deadline)
             if ev is not None:
                 if not exhaustive:
                     return [ev]

@@ -62,7 +62,7 @@ class Stats:
     evidence: dict = field(default_factory=lambda: {"reducible": 0, "indiscriminate": 0})
     detect_subsumed: int = 0  # detections skipped: a specialisation constraint covers them
     detect_futile: int = 0  # detections skipped: their constraints could ban nothing
-    coverage_extensions: int = 0  # body literals the coverage packs joined to a batch of rows
+    coverage_extensions: int = 0  # body literals the coverage pack joined to a batch of rows
     time_total: float = 0.0
     time_detection: float = 0.0
     time_testing: float = 0.0
@@ -92,30 +92,29 @@ class LearnResult:
     audit_records: list[AuditRecord] = field(default_factory=list)
 
 
-def _spread(mask: int, at: list[int]) -> int:
-    """The mask with bit k moved to bit at[k], for k < len(at); at ascends,
-    so it is 0 .. len(at)-1 when it ends at len(at)-1."""
-    if not at or at[-1] == len(at) - 1:
-        return mask & ((1 << len(at)) - 1)
-    return sum(1 << bit for k, bit in enumerate(at) if mask >> k & 1)
-
-
 class CoverageTester:
-    """Coverage testing against a task with per-rule memoization, keyed by
-    the rule as given: the generator builds every rule in canonical form,
-    so it never offers two renamings of one rule.
+    """Coverage testing against the examples of one target predicate, with
+    per-rule memoization keyed by the rule as given: the generator builds
+    every rule in canonical form, so it never offers two renamings of one
+    rule.
+
+    A task learns one predicate (one bias head; the parser refuses an
+    example of another), so the tester refuses examples of two predicates
+    with ValueError.  The positives and then the negatives are the bits of
+    one mask, whose low len(pos) bits are the positive mask and the rest,
+    shifted down, the negative mask.
 
     A non-recursive hypothesis is tested by OR-ing cached per-rule coverage
     bitmasks over the background model.  A rule missing from the cache is
-    answered by the coverage pack of its head predicate's examples
-    (datalog.CoveragePack), one per predicate for the tester's lifetime,
-    which shares body-prefix joins between the rules of a stratum;
-    coverage_extensions counts the body literals the packs joined.
+    answered by the examples' coverage pack (datalog.CoveragePack), built
+    once for the tester's lifetime, which shares body-prefix joins between
+    the rules of a stratum; coverage_extensions counts the body literals it
+    joined.
 
     A recursive hypothesis extends the background model with the fixpoint
-    of its rules, and the examples of its head predicates are looked up
-    among the fixpoint's fact tuples.  Building the background model,
-    extending it and the packs' joins raise DeadlineExceeded past the
+    of its rules, and the examples are looked up among the fixpoint's
+    facts of the target predicate.  Building the background model,
+    extending it and the pack's joins raise DeadlineExceeded past the
     deadline (a time.perf_counter value).
     """
 
@@ -124,49 +123,36 @@ class CoverageTester:
         self.bk = list(bk)
         self.pos = list(pos)
         self.neg = list(neg)
+        examples = [*self.pos, *self.neg]
+        keys = {e.pred_key for e in examples}
+        if len(keys) > 1:
+            raise ValueError(f"examples of more than one predicate: {sorted(keys)}")
+        self._target: Optional[PredKey] = keys.pop() if keys else None
         self.deadline = deadline
         self.model = least_model(self.bk, deadline=deadline)
-        self.base_pos = self._mask(self.pos, self.model)
-        self.base_neg = self._mask(self.neg, self.model)
+        self._pack = CoveragePack(self.model, examples, deadline)
+        self.base_pos, self.base_neg = self._split(self._found(self.model))
         self._rule_cache: dict[Rule, tuple[int, int]] = {}
-        # per head predicate: the coverage pack of its examples, positives
-        # first, and their bits in the positive and in the negative mask
-        self._groups: dict[PredKey, tuple[CoveragePack, list[int], list[int]]] = {}
-        for key in {e.pred_key for e in (*self.pos, *self.neg)}:
-            pos_at = [i for i, e in enumerate(self.pos) if e.pred_key == key]
-            neg_at = [i for i, e in enumerate(self.neg) if e.pred_key == key]
-            examples = [self.pos[i] for i in pos_at] + [self.neg[i] for i in neg_at]
-            self._groups[key] = (CoveragePack(self.model, examples, deadline), pos_at, neg_at)
-
-    @staticmethod
-    def _mask(examples: Sequence[Literal], model: FactStore) -> int:
-        mask = 0
-        for i, e in enumerate(examples):
-            if model.contains(e):
-                mask |= 1 << i
-        return mask
 
     @property
     def coverage_extensions(self) -> int:
-        return sum(pack.extensions for pack, _, _ in self._groups.values())
+        return self._pack.extensions
 
-    @staticmethod
-    def _place(group, covered: int) -> tuple[int, int]:
-        """A group's coverage bitmask moved to its bits in the positive
-        and in the negative mask."""
-        _, pos_at, neg_at = group
-        return (_spread(covered, pos_at), _spread(covered >> len(pos_at), neg_at))
+    def _split(self, covered: int) -> tuple[int, int]:
+        """The positive and the negative mask of a mask over the pack's
+        examples."""
+        return covered & ((1 << len(self.pos)) - 1), covered >> len(self.pos)
+
+    def _found(self, model: FactStore) -> int:
+        """The mask of the examples that are facts of the model."""
+        facts = model.tuples(self._target)
+        return sum(1 << i for i, args in enumerate(self._pack.args) if args in facts)
 
     def rule_masks(self, rule: Rule) -> tuple[int, int]:
-        cached = self._rule_cache.get(rule)
-        if cached is not None:
-            return cached
-        masks = (0, 0)
-        group = self._groups.get(rule.head.pred_key)
-        if group is not None:
-            pack = group[0]
-            masks = self._place(group, covers_rule(self.model, rule, pack.examples, pack))
-        self._rule_cache[rule] = masks
+        masks = self._rule_cache.get(rule)
+        if masks is None:
+            masks = self._split(covers_rule(self.model, rule, self._pack.examples, self._pack))
+            self._rule_cache[rule] = masks
         return masks
 
     @staticmethod
@@ -175,21 +161,10 @@ class CoverageTester:
         return any(lit.pred_key in heads for r in h for lit in r.body)
 
     def masks(self, h: Hypothesis) -> tuple[int, int]:
-        pm, nm = self.base_pos, self.base_neg
         if self._is_recursive(h):
             model = least_model(h, base=self.model, deadline=self.deadline)
-            for key in {r.head.pred_key for r in h}:
-                group = self._groups.get(key)
-                if group is not None:
-                    facts = model.tuples(key)
-                    covered = 0
-                    for i, args in enumerate(group[0].args):
-                        if args in facts:
-                            covered |= 1 << i
-                    rp, rn = self._place(group, covered)
-                    pm |= rp
-                    nm |= rn
-            return (pm, nm)
+            return self._split(self._found(model))
+        pm, nm = self.base_pos, self.base_neg
         for rule in h:
             rp, rn = self.rule_masks(rule)
             pm |= rp
@@ -260,7 +235,6 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
 
     store = ConstraintStore()
     gen = HypothesisGenerator(bias, store, audit=config.audit, deadline=deadline)
-    neg = list(task.neg)
     domain = list(task.constant_domain)
 
     empty: Hypothesis = frozenset()
@@ -323,7 +297,7 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
                     continue
                 t0 = time.perf_counter()
                 found = find_pointless(
-                    tester.model, h, neg, domain,
+                    tester.model, h, tester.neg, domain,
                     mode=config.pointless,
                     exhaustive=config.exhaustive_evidence,
                     deadline=deadline,

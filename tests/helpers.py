@@ -192,7 +192,9 @@ def checked_learn(monkeypatch, task, config):
         masks = real_masks(self, h)
         if self._is_recursive(h):
             model = least_model([*self.bk, *h])
-            assert masks == (self._mask(self.pos, model), self._mask(self.neg, model)), h
+            expected = tuple(sum(1 << i for i, e in enumerate(examples) if model.contains(e))
+                             for examples in (self.pos, self.neg))
+            assert masks == expected, h
             recursive.append(h)
         return masks
 

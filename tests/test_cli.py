@@ -144,6 +144,18 @@ def test_check_reports_findings_on_the_canonical_rule(capsys, fixtures_dir, tmp_
     assert f"reducible: {canonical}  redundant literal: int(A)" in out
 
 
+def test_check_rule_about_another_predicate_makes_no_indiscriminate_claim(
+        capsys, fixtures_dir, tmp_path):
+    # no negative of intro (all f/1) binds the head g(A): int(A) is still
+    # reducible, and odd(A)'s indiscriminate claim is vacuous and dropped
+    rules = tmp_path / "rules.pl"
+    rules.write_text("g(A) :- odd(A), int(A).\n")
+    code, out, _ = run_cli("check", str(fixtures_dir / "intro"), str(rules), capsys=capsys)
+    assert code == 3
+    assert out.splitlines() == ["reducible: g(A) :- int(A), odd(A).  redundant literal: int(A)",
+                                "1 pointless literal(s) found"]
+
+
 def _vacuity_task(tmp_path, negatives):
     task = tmp_path / "task"
     task.mkdir()

@@ -530,6 +530,13 @@ def test_implies_with_seed_binding(intro_model, intro_task):
                        seed={"A": Const("5")})
 
 
+def test_head_binding_is_none_for_an_example_of_another_predicate():
+    rule = parse_rule("f(A,B) :- edge(A,B).")
+    assert head_binding(rule, ground("f", "a", "b")) == {"A": Const("a"), "B": Const("b")}
+    assert head_binding(rule, ground("g", "a", "b")) is None
+    assert head_binding(rule, ground("f", "a")) is None
+
+
 # ---------------------------------------------------------------------------
 # brute-force cross-checks of the query engine
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Microbenchmarks of hot primitives.  The entailment primitives and
-least_model run on a store the size of a recursive-chain task: a 200-node
-chain with forward skips, its reverse and 100 random links.  Constraint
-matching, pack coverage, canonicalize and iter_renamings run over intro's
-strata, stratum assembly over eight_puzzle_mini's size-4 stratum, and the
-task parser over a 1,000-edge chain.  Each runs a fixed number of rounds,
-so the module stays under four seconds; nothing is saved unless
-pytest-benchmark is asked to (``--benchmark-autosave``).
+"""Microbenchmarks of hot primitives.  The entailment primitives, pointless
+detection and least_model run on a store the size of a recursive-chain
+task: a 200-node chain with forward skips, its reverse and 100 random
+links.  Constraint matching, pack coverage, canonicalize and
+iter_renamings run over intro's strata, stratum assembly over
+eight_puzzle_mini's size-4 stratum, and the task parser over a 1,000-edge
+chain.  Each runs a fixed number of rounds, so the module stays under
+four seconds; nothing is saved unless pytest-benchmark is asked to
+(``--benchmark-autosave``).
 ``--benchmark-disable`` runs each body once as a plain test."""
 
 import random
@@ -72,6 +73,21 @@ def test_bench_covers_rule_one_rule_examples(benchmark, chain):
                               rounds=ROUNDS, iterations=1, warmup_rounds=1)
     assert mask & (1 << 30) - 1 == (1 << 30) - 1  # every two-hop positive
     assert mask >> 30 == 0  # no reversed edge
+
+
+def test_bench_find_pointless_chain(benchmark, chain):
+    # exhaustive detection on one rule against the 30 reversed-edge
+    # negatives: edge(A,C) and prev(C,A) imply each other (reducible), and
+    # the other two literals pass the implication test of every negative
+    store, examples, domain = chain
+    neg = examples[30:]
+    h = frozenset({parse_rule("reach(A,B) :- edge(A,C), prev(C,A), edge(C,B), link(B,C).")})
+    found = benchmark.pedantic(find_pointless, args=(store, h, neg, domain),
+                               kwargs={"exhaustive": True},
+                               rounds=ROUNDS, iterations=1, warmup_rounds=1)
+    assert sorted((ev.kind.value, str(ev.literal), ev.vacuous) for ev in found) == [
+        ("indiscriminate", "edge(C,B)", False), ("indiscriminate", "link(B,C)", False),
+        ("reducible", "edge(A,C)", False), ("reducible", "prev(C,A)", False)]
 
 
 def test_bench_least_model_chain_closure(benchmark, chain):

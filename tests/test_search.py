@@ -150,20 +150,20 @@ _CHAIN_TASK = (
 )
 
 
-def test_rule_masks_place_the_bits_of_each_head_predicate():
-    # examples of two predicates, interleaved: each rule's coverage call
-    # sees only its own predicate's, and the bits land at their indexes
+def test_rule_masks_split_one_mask_into_positives_then_negatives():
     task = parse_task_strings(
         "head_pred(f,1). body_pred(odd,1). max_vars(1). max_body(1). max_rules(1).",
         "odd(3). odd(5). odd(7).",
         "pos(f(1)).",
     )
-    pos = [ground("g", 3), ground("f", 3), ground("f", 4), ground("f", 5)]
-    neg = [ground("f", 7), ground("g", 5), ground("f", 2)]
-    tester = CoverageTester(task.bk, pos, neg)
-    assert tester.rule_masks(parse_rule("f(A) :- odd(A).")) == (0b1010, 0b001)
-    assert tester.rule_masks(parse_rule("g(A) :- odd(A).")) == (0b0001, 0b010)
-    assert tester.rule_masks(parse_rule("h(A) :- odd(A).")) == (0, 0)
+    tester = CoverageTester(task.bk, [ground("f", 3), ground("f", 4), ground("f", 5)],
+                            [ground("f", 7), ground("f", 2)])
+    assert tester.rule_masks(parse_rule("f(A) :- odd(A).")) == (0b101, 0b01)
+
+
+def test_tester_refuses_examples_of_two_predicates():
+    with pytest.raises(ValueError, match="more than one predicate"):
+        CoverageTester([], [ground("f", 3)], [ground("g", 5)])
 
 
 def test_recursive_testing_checks_the_deadline():
