@@ -228,7 +228,6 @@ def _rename_in_order(head: Literal, body_seq: list[Literal]) -> tuple[Literal, l
     return new_head, [walk(l) for l in body_seq]
 
 
-@lru_cache(maxsize=None)
 def canonicalize(rule: Rule) -> Rule:
     """Canonical representative of the rule's variable-renaming class.
 
@@ -262,7 +261,6 @@ def canonicalize(rule: Rule) -> Rule:
     return best
 
 
-@lru_cache(maxsize=None)
 def rule_sort_key(rule: Rule) -> tuple:
     return (
         rule.size,

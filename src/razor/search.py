@@ -218,11 +218,10 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
 
     Each tested hypothesis gets its failure-driven constraints and, unless
     pruning is off, pointless detection.  Detection is skipped where its
-    constraint could not ban anything new: a one-rule hypothesis missing a
-    positive under max_rules(1) in noiseless mode (its specialisation
-    constraint bans every super-rule already; counted in detect_subsumed),
-    and any hypothesis for which detection_is_futile holds (counted in
-    detect_futile)."""
+    constraint could not ban anything new: under max_rules(1), a hypothesis
+    that build_cons gave a specialisation constraint (which bans every
+    super-rule already; counted in detect_subsumed), and any hypothesis for
+    which detection_is_futile holds (counted in detect_futile)."""
     config = config or LearnConfig()
     bias = task.bias
     max_size = config.max_size if config.max_size is not None else bias.max_size
@@ -239,7 +238,7 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
 
     empty: Hypothesis = frozenset()
     best: Optional[Hypothesis] = empty
-    best_score: Optional[CostScore] = CostScore(len(task.pos), 0)
+    best_score: CostScore = CostScore(len(task.pos), 0)
     evidence_log: list[PointlessEvidence] = []
     termination = EXHAUSTED
     tester: Optional[CoverageTester] = None
@@ -273,19 +272,21 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
                 fp = nm.bit_count()
                 h_score = CostScore(fn + fp, hypothesis_size(h))
 
-                if best_score is None or h_score < best_score:
+                if h_score < best_score:
                     best, best_score = h, h_score
 
                 if h_score.errors == 0:
                     termination = PERFECT
                     return finish()
 
-                for c in build_cons(h, fn, fp, config.noisy, bias.max_rules):
+                cons = build_cons(h, fn, fp, config.noisy, bias.max_rules)
+                for c in cons:
                     store.add(c)
 
                 if config.pointless is DetectMode.OFF:
                     continue
-                if not config.noisy and bias.max_rules == 1 and fn > 0:
+                if bias.max_rules == 1 and any(
+                        c.kind is ConstraintKind.SPECIALISATION for c in cons):
                     # h's specialisation constraint already bans every
                     # hypothesis whose one rule contains a renaming of h's
                     # rule, which is all a pointless constraint from h

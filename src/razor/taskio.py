@@ -21,7 +21,7 @@ from .logic import (
     Literal,
     Rule,
     Var,
-    canonicalize,
+    canonicalize_hypothesis,
     hypothesis_sorted,
     unsafe_head_vars,
 )
@@ -555,7 +555,7 @@ def render_hypothesis(h: Hypothesis) -> str:
     explicit marker that still parses back to the empty hypothesis."""
     if not h:
         return "% (empty)"
-    canon = frozenset(canonicalize(r) for r in h)
+    canon = canonicalize_hypothesis(h)
     return "\n".join(render_rule(r) for r in hypothesis_sorted(canon))
 
 

