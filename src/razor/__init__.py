@@ -43,22 +43,12 @@ from .pointless import (
     is_indiscriminate_direct,
     is_reducible,
 )
-from .reference import (
-    Coverage,
-    coverage,
-    is_indiscriminate,
-    least_model_naive,
-    satisfying_substitutions,
-    sub_hypothesis,
-    violates,
-)
 from .search import (
     CostScore,
     LearnConfig,
     LearnResult,
     Stats,
     learn,
-    score,
     verify_audit,
 )
 from .taskio import (
@@ -76,17 +66,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditRecord", "Bias", "BiasError", "Const", "Constraint",
-    "ConstraintKind", "ConstraintStore", "CostScore", "Coverage",
-    "DetectMode", "FactStore", "Hypothesis", "HypothesisGenerator",
-    "LearnConfig", "LearnResult", "Literal", "OracleCeilingError",
-    "PointlessEvidence", "PointlessKind", "Rule", "Stats", "Substitution",
-    "Task", "TaskError", "UnsafeRuleError", "Var", "canonicalize",
-    "captured", "connected", "coverage", "covers_rule", "enumerate_all",
-    "find_pointless", "hypothesis_size", "implies", "is_basic",
-    "is_indiscriminate", "is_indiscriminate_direct", "is_reducible",
-    "learn", "least_model", "least_model_naive", "oracle_optimal",
-    "parse_rules", "parse_task", "parse_task_strings", "render_evidence",
-    "render_hypothesis", "render_rule", "renamed_subrule",
-    "satisfying_substitutions", "score", "sub_hypothesis", "subrule",
-    "verify_audit", "violates",
+    "ConstraintKind", "ConstraintStore", "CostScore", "DetectMode",
+    "FactStore", "Hypothesis", "HypothesisGenerator", "LearnConfig",
+    "LearnResult", "Literal", "OracleCeilingError", "PointlessEvidence",
+    "PointlessKind", "Rule", "Stats", "Substitution", "Task", "TaskError",
+    "UnsafeRuleError", "Var", "canonicalize", "captured", "connected",
+    "covers_rule", "enumerate_all", "find_pointless", "hypothesis_size",
+    "implies", "is_basic", "is_indiscriminate_direct", "is_reducible",
+    "learn", "least_model", "oracle_optimal", "parse_rules", "parse_task",
+    "parse_task_strings", "render_evidence", "render_hypothesis",
+    "render_rule", "renamed_subrule", "subrule", "verify_audit",
 ]

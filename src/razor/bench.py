@@ -53,7 +53,7 @@ def run_record(task_name: str, config: LearnConfig, result: LearnResult) -> dict
     anything; every counter and timing lives under `stats`."""
     score = result.best_score
     return {
-        "schema_version": 3,
+        "schema_version": 4,
         "task": task_name,
         "config": {
             "max_size": config.max_size,
@@ -61,7 +61,6 @@ def run_record(task_name: str, config: LearnConfig, result: LearnResult) -> dict
             "pointless": config.pointless.value,
             "noisy": config.noisy,
             "audit": config.audit,
-            "exhaustive_evidence": config.exhaustive_evidence,
             "seed": config.seed,
         },
         "termination": result.termination,
@@ -85,16 +84,14 @@ def run_task(task: Task, repeats: int = 1, timeout: Optional[float] = None,
              max_size: Optional[int] = None, noisy: bool = False,
              seed: Optional[int] = None) -> list[dict]:
     """One record per (configuration, repeat): the run record plus the
-    repeat and the balanced accuracy of the best hypothesis.  Evidence
-    collection is exhaustive so that the constraint set of `both` contains
-    each single ablation's and the generated-candidate counts nest
-    monotonically."""
+    repeat and the balanced accuracy of the best hypothesis.  Each run is
+    the `learn` run of its configuration, keeping every pointless
+    finding."""
     records = []
     for mode in DetectMode:
         for repeat in range(repeats):
             config = LearnConfig(max_size=max_size, timeout=timeout,
-                                 pointless=mode, noisy=noisy, seed=seed,
-                                 exhaustive_evidence=True)
+                                 pointless=mode, noisy=noisy, seed=seed)
             result = learn(task, config)
             accuracy = (hypothesis_accuracy(task, result.best)
                         if result.best is not None else (None, None))
@@ -119,7 +116,7 @@ def run_suite(suite_dir, repeats: int = 1, timeout: Optional[float] = None,
             records.extend(run_task(task, repeats=repeats, timeout=timeout, noisy=noisy))
         except Exception as exc:  # record and continue
             failed = LearnResult(None, None, "error", Stats())
-            config = LearnConfig(timeout=timeout, noisy=noisy, exhaustive_evidence=True)
+            config = LearnConfig(timeout=timeout, noisy=noisy)
             record = _bench_record(d.name, config, 0, failed, (None, None), str(exc))
             record["config"]["pointless"] = None  # no configuration ran
             records.append(record)

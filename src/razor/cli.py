@@ -68,8 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="drop failure-driven constraints (sound on noisy data)")
     p_learn.add_argument("--audit", action="store_true",
                          help="force-test every candidate blocked by pointless pruning")
-    p_learn.add_argument("--exhaustive-evidence", action="store_true",
-                         help="collect every pointless literal per tested hypothesis")
     p_learn.add_argument("--stats", type=Path, default=None, help="write a JSON stats record")
     p_learn.add_argument("--seed", type=int, default=None,
                          help="recorded as config.seed in the stats record; "
@@ -100,7 +98,6 @@ def _cmd_learn(args) -> int:
         max_size=args.max_size,
         timeout=args.timeout,
         pointless=_POINTLESS_FLAGS[args.pointless],
-        exhaustive_evidence=args.exhaustive_evidence,
         audit=args.audit,
         noisy=args.noisy,
         seed=args.seed,
@@ -143,7 +140,6 @@ def _cmd_check(args) -> int:
         canonicalize_hypothesis(rules),
         task.neg,
         list(task.constant_domain),
-        exhaustive=True,
     )
     # an indiscriminate claim with no matching negative examples is vacuous
     # and not worth reporting to a user

@@ -108,7 +108,7 @@ def oracle_optimal(
     hypothesis is part of the space."""
     tester = CoverageTester(task.bk, task.pos, task.neg)
     empty: Hypothesis = frozenset()
-    best = CostScore(len(task.pos), 0)
+    best = tester.score(empty)
     witnesses: set[Hypothesis] = {empty}
     for size in range(2, max_size + 1):
         for h in enumerate_all(task.bias, size, ceiling):

@@ -108,7 +108,6 @@ def find_pointless(
     neg: Sequence[Literal],
     domain: Sequence[Const],
     mode: DetectMode = DetectMode.BOTH,
-    exhaustive: bool = False,
     deadline: Optional[float] = None,
 ) -> list[PointlessEvidence]:
     """Scan a hypothesis for pointless rules.
@@ -116,15 +115,15 @@ def find_pointless(
     Rules are visited in canonical order and only basic rules are
     considered; evidence names each rule as given (the generator builds
     every rule canonical).  For each captured body literal the reducible
-    test runs before the indiscriminate test.  By default the first piece
-    of evidence is returned (as a one-element list); with exhaustive=True
-    every (rule, literal) finding in the hypothesis is collected.  The
-    negatives are passed through as given: the indiscriminate test skips
-    each one the rule's head cannot bind (head_binding is None), as any of
-    another predicate, so a rule about another predicate than theirs gets
-    at most a vacuous indiscriminate claim.  Past the deadline (a
-    time.perf_counter value), checked before each captured literal and
-    each negative example's implication test, it raises DeadlineExceeded.
+    test runs before the indiscriminate test, and every (rule, literal)
+    finding in the hypothesis is returned: each licenses a constraint of
+    its own.  The negatives are passed through as given: the
+    indiscriminate test skips each one the rule's head cannot bind
+    (head_binding is None), as any of another predicate, so a rule about
+    another predicate than theirs gets at most a vacuous indiscriminate
+    claim.  Past the deadline (a time.perf_counter value), checked before
+    each captured literal and each negative example's implication test,
+    it raises DeadlineExceeded.
     """
     if mode is DetectMode.OFF:
         return []
@@ -138,7 +137,5 @@ def find_pointless(
             check_deadline(deadline)
             ev = check_literal(store, rule, lit, neg, domain, mode, deadline)
             if ev is not None:
-                if not exhaustive:
-                    return [ev]
                 out.append(ev)
     return out

@@ -46,7 +46,6 @@ class LearnConfig:
     max_size: Optional[int] = None  # default: bias bound
     timeout: Optional[float] = None
     pointless: DetectMode = DetectMode.BOTH
-    exhaustive_evidence: bool = False
     audit: bool = False
     noisy: bool = False
     seed: Optional[int] = None  # recorded in the run record; the search is deterministic
@@ -216,8 +215,11 @@ def detection_is_futile(h: Hypothesis, max_rules: int, max_body: int, max_size: 
 def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
     """Search the task for an optimal hypothesis up to the size bound.
 
-    Each tested hypothesis gets its failure-driven constraints and, unless
-    pruning is off, pointless detection.  Detection is skipped where its
+    The empty hypothesis is scored first, on what the background alone
+    covers, and returned as perfect-at-size when it has no error.  Each
+    tested hypothesis gets its failure-driven constraints and, unless
+    pruning is off, pointless detection, whose every finding becomes a
+    pointless-super-rule constraint.  Detection is skipped where its
     constraint could not ban anything new: under max_rules(1), a hypothesis
     that build_cons gave a specialisation constraint (which bans every
     super-rule already; counted in detect_subsumed), and any hypothesis for
@@ -236,9 +238,8 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
     gen = HypothesisGenerator(bias, store, audit=config.audit, deadline=deadline)
     domain = list(task.constant_domain)
 
-    empty: Hypothesis = frozenset()
-    best: Optional[Hypothesis] = empty
-    best_score: CostScore = CostScore(len(task.pos), 0)
+    best: Optional[Hypothesis] = frozenset()
+    best_score: Optional[CostScore] = None
     evidence_log: list[PointlessEvidence] = []
     termination = EXHAUSTED
     tester: Optional[CoverageTester] = None
@@ -262,6 +263,12 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
 
     try:
         tester = CoverageTester(task.bk, task.pos, task.neg, deadline)
+        # under enable_recursion the background may hold facts of the
+        # target, so the empty hypothesis can cover examples
+        best_score = tester.score(best)
+        if best_score.errors == 0:
+            termination = PERFECT
+            return finish()
         for size in range(2, max_size + 1):
             while (h := gen.next_hypothesis(size)) is not None:
                 t0 = time.perf_counter()
@@ -300,7 +307,6 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
                 found = find_pointless(
                     tester.model, h, tester.neg, domain,
                     mode=config.pointless,
-                    exhaustive=config.exhaustive_evidence,
                     deadline=deadline,
                 )
                 stats.time_detection += time.perf_counter() - t0
@@ -314,11 +320,6 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
         # the deadline; the timers above count only completed calls
         termination = TIMEOUT
     return finish()
-
-
-def score(task, h: Hypothesis) -> CostScore:
-    """Cost of a hypothesis on a task: (fp + fn, literal count)."""
-    return CoverageTester(task.bk, task.pos, task.neg).score(h)
 
 
 def verify_audit(task, result: LearnResult) -> list[str]:

@@ -17,7 +17,6 @@ from razor import (
     is_indiscriminate_direct,
     learn,
     least_model,
-    least_model_naive,
     oracle_optimal,
     parse_rules,
     render_hypothesis,
@@ -29,7 +28,7 @@ from razor.generate import ConstraintStore, HypothesisGenerator
 from razor.logic import canonicalize_hypothesis, captured, concrete_key
 from razor.microtask import random_task, random_program
 from razor.oracle import _rule_stratum, enumerate_all
-from razor.reference import is_indiscriminate
+from razor.reference import is_indiscriminate, least_model_naive
 from razor.search import CoverageTester
 
 pytestmark = pytest.mark.acceptance

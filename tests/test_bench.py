@@ -2,11 +2,15 @@ import csv
 import json
 import math
 
+import pytest
+
+from razor import DetectMode, LearnConfig, learn, parse_task
 from razor.bench import (
     CSV_COLUMNS,
     balanced_accuracy,
     csv_row,
     hypothesis_accuracy,
+    run_record,
     run_task,
     write_csv,
 )
@@ -71,6 +75,17 @@ def test_repeats_are_deterministic_in_outcome(trains_task):
         assert len(outcomes) == 1, mode
 
 
+@pytest.mark.parametrize("name", ["intro", "transitive_gt", "eight_puzzle_mini", "trains_mini"])
+def test_learn_and_bench_store_the_same_pruning(fixtures_dir, name):
+    task = parse_task(fixtures_dir / name)
+    bench = {r["config"]["pointless"]: r["stats"] for r in run_task(task)}
+    for mode in DetectMode:
+        config = LearnConfig(pointless=mode)
+        stats = run_record(task.name, config, learn(task, config))["stats"]
+        for key in ("evidence", "constraints"):
+            assert stats[key] == bench[mode.value][key], (mode, key)
+
+
 def _learn_stats_record(fixtures_dir, tmp_path, *flags):
     path = tmp_path / "stats.json"
     assert cli_main(["learn", str(fixtures_dir / "trains_mini"),
@@ -88,7 +103,7 @@ def test_bench_record_extends_the_stats_record(fixtures_dir, tmp_path, trains_ta
         assert set(record["config"]) - set(stats_record["config"]) == {"repeat"}
         assert set(stats_record["config"]) <= set(record["config"])
         assert set(record["stats"]) == set(stats_record["stats"])
-        assert record["schema_version"] == stats_record["schema_version"] == 3
+        assert record["schema_version"] == stats_record["schema_version"] == 4
 
 
 def test_csv_columns_are_unchanged():

@@ -34,7 +34,7 @@ def test_learn_writes_versioned_stats(capsys, fixtures_dir, tmp_path):
                          "--stats", str(stats), "--seed", "7", capsys=capsys)
     assert code == 0
     record = json.loads(stats.read_text())
-    assert record["schema_version"] == 3
+    assert record["schema_version"] == 4
     assert "banish" not in record["stats"]["constraints"]
     assert record["best_errors"] == 0
     assert record["config"]["seed"] == 7
@@ -204,24 +204,8 @@ def test_bench_command_writes_json_and_csv(capsys, fixtures_dir, tmp_path):
     assert len(records) == 4
     assert {r["config"]["pointless"] for r in records} == \
         {"off", "reducible-only", "indiscriminate-only", "both"}
-    assert all(r["config"]["exhaustive_evidence"] is True for r in records)
     header = out_csv.read_text().splitlines()[0]
     assert "overhead_fraction" in header and "generated" in header
-
-
-def test_learn_stats_record_exhaustive_evidence(capsys, fixtures_dir, tmp_path):
-    configs = []
-    for flags in ((), ("--exhaustive-evidence",)):
-        stats = tmp_path / "stats.json"
-        code, _, _ = run_cli("learn", str(fixtures_dir / "trains_mini"),
-                             "--stats", str(stats), *flags, capsys=capsys)
-        assert code == 0
-        configs.append(json.loads(stats.read_text())["config"])
-    plain, exhaustive = configs
-    assert plain["exhaustive_evidence"] is False
-    assert exhaustive["exhaustive_evidence"] is True
-    assert {k: v for k, v in plain.items() if k != "exhaustive_evidence"} == \
-        {k: v for k, v in exhaustive.items() if k != "exhaustive_evidence"}
 
 
 def test_bench_suite_continues_after_task_failure(capsys, fixtures_dir, tmp_path):
@@ -239,7 +223,6 @@ def test_bench_suite_continues_after_task_failure(capsys, fixtures_dir, tmp_path
     records = json.loads(out_json.read_text())
     assert any(r["error"] for r in records)
     assert sum(1 for r in records if not r["error"]) == 4
-    assert all(r["config"]["exhaustive_evidence"] is True for r in records)
 
 
 def test_determinism_across_hash_seeds(fixtures_dir):

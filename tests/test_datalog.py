@@ -12,18 +12,20 @@ from razor import (
     Const,
     LearnConfig,
     UnsafeRuleError,
-    coverage,
     covers_rule,
     implies,
     least_model,
-    least_model_naive,
     parse_task,
-    satisfying_substitutions,
     subrule,
 )
 from razor.datalog import CoveragePack, FactStore, head_binding
 from razor.deadline import DeadlineExceeded
-from razor.reference import implies_by_refutation
+from razor.reference import (
+    coverage,
+    implies_by_refutation,
+    least_model_naive,
+    satisfying_substitutions,
+)
 from razor.logic import Literal, Rule, Var, captured, concrete_key, is_safe
 from razor.microtask import random_program, random_task
 from razor.oracle import _rule_stratum, enumerate_all

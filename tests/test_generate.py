@@ -322,8 +322,7 @@ def test_pointless_constraints_from_a_missed_positive_are_subsumed(seed):
         if pm.bit_count() == len(task.pos):
             continue
         spec = Constraint(ConstraintKind.SPECIALISATION, hypothesis=h0)
-        for ev in find_pointless(tester.model, h0, task.neg, list(task.constant_domain),
-                                 exhaustive=True):
+        for ev in find_pointless(tester.model, h0, task.neg, list(task.constant_domain)):
             c = Constraint(ConstraintKind.POINTLESS_SUPER_RULE, evidence=ev)
             for h in candidates:
                 if violates(h, c):

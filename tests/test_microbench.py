@@ -76,14 +76,13 @@ def test_bench_covers_rule_one_rule_examples(benchmark, chain):
 
 
 def test_bench_find_pointless_chain(benchmark, chain):
-    # exhaustive detection on one rule against the 30 reversed-edge
+    # detection on one rule against the 30 reversed-edge
     # negatives: edge(A,C) and prev(C,A) imply each other (reducible), and
     # the other two literals pass the implication test of every negative
     store, examples, domain = chain
     neg = examples[30:]
     h = frozenset({parse_rule("reach(A,B) :- edge(A,C), prev(C,A), edge(C,B), link(B,C).")})
     found = benchmark.pedantic(find_pointless, args=(store, h, neg, domain),
-                               kwargs={"exhaustive": True},
                                rounds=ROUNDS, iterations=1, warmup_rounds=1)
     assert sorted((ev.kind.value, str(ev.literal), ev.vacuous) for ev in found) == [
         ("indiscriminate", "edge(C,B)", False), ("indiscriminate", "link(B,C)", False),
@@ -102,7 +101,7 @@ def test_bench_least_model_chain_closure(benchmark, chain):
 
 def test_bench_pointless_match_over_a_stratum(benchmark, intro_task):
     # matching every rule of intro's size-4 stratum against the pointless
-    # constraints that exhaustive detection finds in its size-3 stratum,
+    # constraints that detection finds in its size-3 stratum,
     # as the generator's pointless check does; each round starts from a
     # fresh store, as a run does
     gen = HypothesisGenerator(intro_task.bias, ConstraintStore())
@@ -110,8 +109,7 @@ def test_bench_pointless_match_over_a_stratum(benchmark, intro_task):
     domain = list(intro_task.constant_domain)
     constraints = [Constraint(ConstraintKind.POINTLESS_SUPER_RULE, evidence=ev)
                    for r in gen.rule_stratum(3)
-                   for ev in find_pointless(model, frozenset({r}), intro_task.neg, domain,
-                                            exhaustive=True)]
+                   for ev in find_pointless(model, frozenset({r}), intro_task.neg, domain)]
     stratum = gen.rule_stratum(4)
 
     def fresh_store():

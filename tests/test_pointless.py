@@ -18,10 +18,9 @@ from razor.logic import Rule, captured
 from razor.reference import is_indiscriminate
 
 
-def _detect(task, h, mode=DetectMode.BOTH, exhaustive=False):
+def _detect(task, h, mode=DetectMode.BOTH):
     model = least_model(task.bk)
-    return find_pointless(model, h, task.neg, list(task.constant_domain),
-                          mode=mode, exhaustive=exhaustive)
+    return find_pointless(model, h, task.neg, list(task.constant_domain), mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +78,7 @@ def test_reducible_checked_before_indiscriminate(intro_task):
 
 def test_exhaustive_mode_collects_all(transitive_task):
     h = parse_hypothesis("f(A) :- bounded(A), defined(A), gt(A,B).")
-    evs = _detect(transitive_task, h, exhaustive=True)
+    evs = _detect(transitive_task, h)
     flagged = {repr(ev.literal) for ev in evs}
     assert {"bounded(A)", "defined(A)"} <= flagged
 
@@ -243,6 +242,5 @@ def test_specialisations_of_flagged_rules_stay_pointless(intro_task):
         [ev] = _detect(intro_task, h)
         for bigger in random_super_rules(intro_task, ev.rule, rng, 20):
             assert subrule(ev.rule, bigger)
-            found = find_pointless(model, frozenset({bigger}), intro_task.neg,
-                                   dom, exhaustive=False)
+            found = find_pointless(model, frozenset({bigger}), intro_task.neg, dom)
             assert found, f"extension lost the pointless literal: {bigger!r}"
