@@ -68,9 +68,10 @@ class FactStore:
     built per-argument-position indexes.  Read-only once built; safe to
     query concurrently.
 
-    An extension (``least_model(program, base=store)``) shares the base's
-    buckets and indexes for every predicate except those its program
-    derives, which it copies; the base is never modified."""
+    An extension (``extension``; ``least_model(program, base=store)``
+    builds one for the program's head predicates) shares the base's
+    buckets and indexes for every predicate except the ones it may grow,
+    which it copies; the base is never modified."""
 
     def __init__(self, atoms: Iterable[Literal] = ()):
         self._facts: dict[PredKey, set[Fact]] = {}
@@ -80,7 +81,7 @@ class FactStore:
         for atom in atoms:
             self.add(atom)
 
-    def _extension(self, keys: Iterable[PredKey]) -> FactStore:
+    def extension(self, keys: Iterable[PredKey]) -> FactStore:
         """A store holding this one's atoms that may grow the given
         predicates without touching this store."""
         out = FactStore()
@@ -364,10 +365,11 @@ class _Step:
       and the step then keeps each row that some fact matches, once.
 
     A literal with no new variable is a membership test: ``member``
-    builds its fact from a row."""
+    builds its fact from a row.  A scan that checks nothing and appends
+    every argument in order (``whole``) takes given facts as its rows."""
 
     __slots__ = ("key", "pos", "src", "filtered", "check_at", "check_of",
-                 "rep_at", "rep_of", "appends", "get", "member")
+                 "rep_at", "rep_of", "appends", "get", "member", "whole")
 
     def __init__(self, lit: CompiledLiteral, at: dict[int, int], live: set[int], scan: bool):
         key, args = lit
@@ -405,6 +407,9 @@ class _Step:
             for s in first:
                 at[s] = len(at)
         self.get = _projector(self.appends)
+        # counted on the literal's arguments: a pack's head step joins
+        # (index, *args) facts under the head's predicate key
+        self.whole = not self.filtered and self.appends == tuple(range(len(args)))
 
     def _matches(self, facts: Collection[Fact], want: tuple) -> Collection[Fact]:
         if not self.filtered:
@@ -427,6 +432,8 @@ class _Step:
             if facts is None:
                 facts = store.tuples(self.key) if src is None else \
                     store._index(self.key, self.pos).get(src, ())  # type: ignore[arg-type]
+            elif self.whole and rows == [()]:
+                return list(facts)
             cands = self._matches(facts, self.check_of(()))
             if not self.appends:
                 return rows if cands else []
@@ -454,9 +461,14 @@ class _Pipeline:
     static join order, the first one fixed when the pipeline starts from
     a delta, then greedily the literal with the most bound arguments
     (a literal with none free first; ties keep the plan's order), and the
-    head as a projection of the final rows."""
+    head as a projection of the final rows.
 
-    __slots__ = ("steps", "head")
+    When the last step is an unfiltered index lookup appending one value,
+    ``last`` takes its place after ``steps``: one comprehension builds
+    each head fact from a row and a matched fact, with no row of the final
+    batch built."""
+
+    __slots__ = ("steps", "head", "last")
 
     def __init__(self, body: Sequence[CompiledLiteral], head: CompiledLiteral,
                  first: Optional[int]):
@@ -484,17 +496,55 @@ class _Pipeline:
         at: dict[int, int] = {}
         self.steps = tuple(_Step(body[i], at, needed_after, scan=(k == 0 and first is not None))
                            for k, (i, needed_after) in enumerate(zip(order, live)))
-        self.head = _projector([a if a.__class__ is str else at[a] for a in head[1]])
+        items = [a if a.__class__ is str else at[a] for a in head[1]]
+        self.head = _projector(items)
+        self.last: Optional[_LastStep] = None
+        if self.steps:
+            step = self.steps[-1]
+            if step.src.__class__ is int and not step.filtered and len(step.appends) == 1:
+                self.steps = self.steps[:-1]
+                self.last = _fused(step, items, len(at) - 1)
 
-    def run(self, store: FactStore, delta: Optional[Collection[Fact]] = None) -> Iterator[Fact]:
+    def run(self, store: FactStore, delta: Optional[Collection[Fact]] = None) -> Iterable[Fact]:
         """The head facts the body derives, starting from the given delta
         facts of the first literal when the pipeline has one."""
         rows: list[Row] = [()]
         for k, step in enumerate(self.steps):
             rows = step.run(store, rows, delta if k == 0 else None)
             if not rows:
-                break
+                return ()
+        if self.last is not None:
+            return self.last(store, rows)
         return map(self.head, rows)
+
+
+_LastStep = Callable[[FactStore, list[Row]], list[Fact]]
+
+
+def _fused(step: _Step, items: list[Arg], value: int) -> _LastStep:
+    """A last step joined to the head projection.  The head's items are
+    constants and row positions, value being the position of the value the
+    step appends; a binary head of one row value and the appended value
+    is built directly, any other head by its projector."""
+    key, pos, src = step.key, step.pos, step.src
+    (j,) = step.appends
+    if len(items) == 2 and items.count(value) == 1 and all(a.__class__ is int for a in items):
+        q = items[1] if items[0] == value else items[0]
+        if items[1] == value:
+            def last(store: FactStore, rows: list[Row]) -> list[Fact]:
+                get = store._index(key, pos).get
+                return [(row[q], f[j]) for row in rows for f in get(row[src], ())]
+        else:
+            def last(store: FactStore, rows: list[Row]) -> list[Fact]:
+                get = store._index(key, pos).get
+                return [(f[j], row[q]) for row in rows for f in get(row[src], ())]
+        return last
+    head = _projector(items)
+
+    def projected(store: FactStore, rows: list[Row]) -> list[Fact]:
+        get = store._index(key, pos).get
+        return [head(row + (f[j],)) for row in rows for f in get(row[src], ())]
+    return projected
 
 
 def _round(store: FactStore, plans: Sequence[_Plan],
@@ -540,7 +590,7 @@ def least_model(program: Iterable[Rule], base: Optional[FactStore] = None,
     if base is None:
         store = FactStore()
     else:
-        store = base._extension({rule.head.pred_key for rule in rules})
+        store = base.extension({rule.head.pred_key for rule in rules})
     plans: list[_Plan] = []
     for rule in rules:
         if rule.body:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .datalog import FactStore, head_binding, implies
 from .deadline import check_deadline
@@ -102,6 +102,70 @@ def check_literal(store: FactStore, rule: Rule, lit: Literal,
     return None
 
 
+class Detector:
+    """Detection state for one learn run: a coverage gate in front of the
+    implication tests, and each basic rule's findings, kept for the run.
+
+    ``masks`` gives a rule's coverage masks over the run's positives and
+    its negatives, bit i of the second for the i-th negative that
+    detection is given.  Write R' for rule R with captured literal l
+    dropped.  With a domain that holds every constant of the store, as a
+    task's constant domain does (the background model is function-free):
+
+    - R reducible at l makes R and R' cover the same examples;
+    - R indiscriminate at l makes them cover the same negatives;
+    - a negative that R' does not cover passes the per-negative test
+      vacuously.
+
+    So the reducible test runs only when both masks agree, and the
+    indiscriminate test only when the negative masks do, over the
+    negatives R' covers.
+
+    Findings on a basic rule depend on the rule, the store, the negatives,
+    the domain and the mode alone, so a detector serves one store,
+    negative list, domain and mode.  ``cached`` counts the rules answered
+    from its table, ``mask_settled`` the captured literals the masks
+    settled without an implication test."""
+
+    def __init__(self, masks: Callable[[Rule], tuple[int, int]]):
+        self.masks = masks
+        self.findings: dict[Rule, list[PointlessEvidence]] = {}
+        self.cached = 0
+        self.mask_settled = 0
+
+    def scan(self, store: FactStore, rule: Rule, neg: Sequence[Literal],
+             domain: Sequence[Const], mode: DetectMode,
+             deadline: Optional[float]) -> list[PointlessEvidence]:
+        """The findings on a basic rule, computed on its first scan."""
+        found = self.findings.get(rule)
+        if found is not None:
+            self.cached += 1
+            return found
+        found = []
+        pm, nm = self.masks(rule)
+        for lit in _captured_literals(rule):
+            check_deadline(deadline)
+            reduced = reduce_rule(rule, lit)
+            rpm, rnm = self.masks(reduced)
+            reducible = mode.reducible and rpm == pm and rnm == nm
+            tested = [e for i, e in enumerate(neg) if rnm >> i & 1] \
+                if mode.indiscriminate and rnm == nm else None
+            self.mask_settled += not reducible and not tested
+            if reducible and is_reducible(store, rule, lit, domain):
+                found.append(PointlessEvidence(rule, lit, PointlessKind.REDUCIBLE, reduced))
+            elif tested is not None and \
+                    is_indiscriminate_direct(store, tested, rule, lit, domain, deadline):
+                found.append(PointlessEvidence(
+                    rule, lit, PointlessKind.INDISCRIMINATE, reduced,
+                    vacuous=all(head_binding(rule, e) is None for e in neg)))
+        self.findings[rule] = found
+        return found
+
+
+def _captured_literals(rule: Rule) -> list[Literal]:
+    return [lit for lit in sorted(rule.body, key=concrete_key) if captured(rule, lit)]
+
+
 def find_pointless(
     store: FactStore,
     h: Hypothesis,
@@ -109,6 +173,7 @@ def find_pointless(
     domain: Sequence[Const],
     mode: DetectMode = DetectMode.BOTH,
     deadline: Optional[float] = None,
+    detector: Optional[Detector] = None,
 ) -> list[PointlessEvidence]:
     """Scan a hypothesis for pointless rules.
 
@@ -121,9 +186,11 @@ def find_pointless(
     indiscriminate test skips each one the rule's head cannot bind
     (head_binding is None), as any of another predicate, so a rule about
     another predicate than theirs gets at most a vacuous indiscriminate
-    claim.  Past the deadline (a time.perf_counter value), checked before
-    each captured literal and each negative example's implication test,
-    it raises DeadlineExceeded.
+    claim.  With a detector, built for these arguments, each rule is
+    scanned once behind its coverage gate and answered from its table
+    afterwards; the findings are the same.  Past the deadline (a
+    time.perf_counter value), checked before each captured literal and
+    each negative example's implication test, it raises DeadlineExceeded.
     """
     if mode is DetectMode.OFF:
         return []
@@ -131,9 +198,10 @@ def find_pointless(
     for rule in sorted(h, key=rule_sort_key):
         if not is_basic(rule, h):
             continue
-        for lit in sorted(rule.body, key=concrete_key):
-            if not captured(rule, lit):
-                continue
+        if detector is not None:
+            out += detector.scan(store, rule, neg, domain, mode, deadline)
+            continue
+        for lit in _captured_literals(rule):
             check_deadline(deadline)
             ev = check_literal(store, rule, lit, neg, domain, mode, deadline)
             if ev is not None:

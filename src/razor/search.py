@@ -25,9 +25,10 @@ from .logic import (
     Hypothesis,
     Literal,
     Rule,
+    Var,
     hypothesis_size,
 )
-from .pointless import DetectMode, PointlessEvidence, find_pointless
+from .pointless import DetectMode, Detector, PointlessEvidence, find_pointless
 
 EXHAUSTED = "exhausted"
 TIMEOUT = "timeout"
@@ -61,6 +62,8 @@ class Stats:
     evidence: dict = field(default_factory=lambda: {"reducible": 0, "indiscriminate": 0})
     detect_subsumed: int = 0  # detections skipped: a specialisation constraint covers them
     detect_futile: int = 0  # detections skipped: their constraints could ban nothing
+    detect_cached: int = 0  # basic rules whose findings came from the run's table
+    detect_mask_settled: int = 0  # captured literals the coverage masks settled alone
     coverage_extensions: int = 0  # body literals the coverage pack joined to a batch of rows
     time_total: float = 0.0
     time_detection: float = 0.0
@@ -112,9 +115,14 @@ class CoverageTester:
 
     A recursive hypothesis extends the background model with the fixpoint
     of its rules, and the examples are looked up among the fixpoint's
-    facts of the target predicate.  Building the background model,
-    extending it and the pack's joins raise DeadlineExceeded past the
-    deadline (a time.perf_counter value).
+    facts of the target predicate.  When the hypothesis has pass-through
+    positions (see pass_through), each rule gets one more body literal, of
+    a predicate no task can declare, over its head's variables at those
+    positions.  Its facts are the examples' values there, in an extension
+    of the background model built once per position set, so the fixpoint
+    derives only the target facts that can reach an example.  Building the
+    background model, extending it and the pack's joins raise
+    DeadlineExceeded past the deadline (a time.perf_counter value).
     """
 
     def __init__(self, bk: Sequence[Rule], pos: Sequence[Literal], neg: Sequence[Literal],
@@ -130,8 +138,13 @@ class CoverageTester:
         self.deadline = deadline
         self.model = least_model(self.bk, deadline=deadline)
         self._pack = CoveragePack(self.model, examples, deadline)
+        # detection's rules that testing has not met, and their masks
+        self._side_pack = CoveragePack(self.model, examples, deadline)
+        self._side_cache: dict[Rule, tuple[int, int]] = {}
         self.base_pos, self.base_neg = self._split(self._found(self.model))
         self._rule_cache: dict[Rule, tuple[int, int]] = {}
+        # pass-through positions -> the background model with their demand facts
+        self._demand: dict[tuple[int, ...], FactStore] = {}
 
     @property
     def coverage_extensions(self) -> int:
@@ -154,15 +167,42 @@ class CoverageTester:
             self._rule_cache[rule] = masks
         return masks
 
+    def detection_masks(self, rule: Rule) -> tuple[int, int]:
+        """The masks of a rule that pointless detection compares: a tested
+        rule's from the cache, any other's (a rule with a body literal
+        dropped, or a basic rule of a recursive hypothesis) from a second
+        pack over the same examples and a cache of its own, so that the
+        first pack keeps the prefixes its strata share and
+        coverage_extensions counts testing alone."""
+        masks = self._rule_cache.get(rule) or self._side_cache.get(rule)
+        if masks is None:
+            masks = self._side_cache[rule] = self._split(self._side_pack.mask(rule))
+        return masks
+
     @staticmethod
     def _is_recursive(h: Hypothesis) -> bool:
         heads = {r.head.pred_key for r in h}
         return any(lit.pred_key in heads for r in h for lit in r.body)
 
+    def _fixpoint(self, h: Hypothesis) -> FactStore:
+        """The model of a recursive hypothesis over the background model,
+        cut to the examples' values at its pass-through positions."""
+        positions = pass_through(h, self._target) if self._target is not None else ()
+        if not positions:
+            return least_model(h, base=self.model, deadline=self.deadline)
+        key = (_DEMAND, len(positions))
+        base = self._demand.get(positions)
+        if base is None:
+            base = self._demand[positions] = self.model.extension({key})
+            base.update(key, {tuple([args[p] for p in positions]) for args in self._pack.args})
+        restricted = [
+            Rule(r.head, r.body | {Literal(_DEMAND, tuple([r.head.args[p] for p in positions]))})
+            for r in h]
+        return least_model(restricted, base=base, deadline=self.deadline)
+
     def masks(self, h: Hypothesis) -> tuple[int, int]:
         if self._is_recursive(h):
-            model = least_model(h, base=self.model, deadline=self.deadline)
-            return self._split(self._found(model))
+            return self._split(self._found(self._fixpoint(h)))
         pm, nm = self.base_pos, self.base_neg
         for rule in h:
             rp, rn = self.rule_masks(rule)
@@ -175,6 +215,32 @@ class CoverageTester:
         fn = len(self.pos) - pm.bit_count()
         fp = nm.bit_count()
         return CostScore(fn + fp, hypothesis_size(h))
+
+
+# the predicate of a restricted fixpoint's demand literals; no task can
+# declare it, since a parsed predicate name starts with a lowercase letter
+_DEMAND = "$demand"
+
+
+def pass_through(h: Hypothesis, target: PredKey) -> tuple[int, ...]:
+    """The target positions at which every rule of h, all of them rules for
+    the target, has a head variable that its body binds and that every
+    target literal of its body holds at the same position.  A target fact
+    derived by h then has, at each of these positions, the value of the
+    target facts it was derived from, so the ones that can reach an
+    example are those whose values there are an example's."""
+    positions = set(range(target[1]))
+    for rule in h:
+        head = rule.head
+        if head.pred_key != target:
+            return ()
+        bound = set().union(*(lit.vars() for lit in rule.body))
+        for p in list(positions):
+            t = head.args[p]
+            if not isinstance(t, Var) or t.name not in bound or any(
+                    lit.pred_key == target and lit.args[p] != t for lit in rule.body):
+                positions.discard(p)
+    return tuple(sorted(positions))
 
 
 def build_cons(h: Hypothesis, fn: int, fp: int, noisy: bool = False,
@@ -223,7 +289,10 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
     constraint could not ban anything new: under max_rules(1), a hypothesis
     that build_cons gave a specialisation constraint (which bans every
     super-rule already; counted in detect_subsumed), and any hypothesis for
-    which detection_is_futile holds (counted in detect_futile)."""
+    which detection_is_futile holds (counted in detect_futile).  Detection
+    runs behind a coverage gate and keeps each rule's findings for the run
+    (pointless.Detector, fed by CoverageTester.detection_masks); its
+    findings are those of the ungated find_pointless."""
     config = config or LearnConfig()
     bias = task.bias
     max_size = config.max_size if config.max_size is not None else bias.max_size
@@ -243,6 +312,7 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
     evidence_log: list[PointlessEvidence] = []
     termination = EXHAUSTED
     tester: Optional[CoverageTester] = None
+    detector: Optional[Detector] = None
 
     def finish() -> LearnResult:
         stats.generated = gen.emitted
@@ -254,6 +324,9 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
         stats.constraints = store.counts()
         if tester is not None:
             stats.coverage_extensions = tester.coverage_extensions
+        if detector is not None:
+            stats.detect_cached = detector.cached
+            stats.detect_mask_settled = detector.mask_settled
         stats.time_total = time.perf_counter() - t_start
         if termination == TIMEOUT and stats.tested == 0:
             return LearnResult(None, None, TIMEOUT, stats,
@@ -263,6 +336,7 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
 
     try:
         tester = CoverageTester(task.bk, task.pos, task.neg, deadline)
+        detector = Detector(tester.detection_masks)
         # under enable_recursion the background may hold facts of the
         # target, so the empty hypothesis can cover examples
         best_score = tester.score(best)
@@ -308,6 +382,7 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
                     tester.model, h, tester.neg, domain,
                     mode=config.pointless,
                     deadline=deadline,
+                    detector=detector,
                 )
                 stats.time_detection += time.perf_counter() - t0
                 for ev in found:

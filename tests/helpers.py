@@ -8,7 +8,8 @@ from itertools import permutations, product
 from typing import Iterable, Iterator
 
 from razor import Const, Literal, Rule, Var, learn, least_model, search
-from razor.logic import Hypothesis, hypothesis_sorted, rule_sort_key, var_name
+from razor.logic import Hypothesis, hypothesis_sorted, is_safe, rule_sort_key, var_name
+from razor.microtask import random_program
 from razor.taskio import parse_rules, parse_task_strings
 
 
@@ -81,6 +82,35 @@ def random_rule(rng: random.Random, preds=None, max_body=3, max_vars=3,
         args = tuple(rng.choice(variables) for _ in range(arity))
         body.add(Literal(name, args))
     return Rule(head_lit, frozenset(body))
+
+
+def random_goal_program(rng: random.Random, any_head: bool = False):
+    """A random background program (microtask.random_program) with one to
+    four facts of goal/2, and a hypothesis of two safe goal/2 rules whose
+    bodies draw from every predicate, goal/2 included, over the variables
+    A-C.  Each head is goal(A,B), or with any_head also one with a
+    repeated variable or a constant of the background."""
+    bk = random_program(rng)
+    consts = sorted({t.name for r in bk for t in r.head.args if isinstance(t, Const)})
+    for _ in range(rng.randint(1, 4)):
+        pair = tuple(Const(rng.choice(consts)) for _ in range(2))
+        bk.append(Rule(Literal("goal", pair), frozenset()))
+    preds = sorted({r.head.pred_key for r in bk})
+    variables = [Var(v) for v in "ABC"]
+    heads = [(Var("A"), Var("B"))]
+    if any_head:
+        c = Const(rng.choice(consts))
+        heads += [(Var("A"), Var("A")), (Var("A"), c), (c, Var("B"))]
+    h = set()
+    while len(h) < 2:
+        body = frozenset(
+            Literal(name, tuple(rng.choice(variables) for _ in range(arity)))
+            for name, arity in (rng.choice(preds) for _ in range(rng.randint(1, 3)))
+        )
+        rule = Rule(Literal("goal", rng.choice(heads) if any_head else heads[0]), body)
+        if is_safe(rule):
+            h.add(rule)
+    return bk, frozenset(h)
 
 
 def all_ground_atoms(preds, constants):

@@ -41,7 +41,8 @@ def test_learn_writes_versioned_stats(capsys, fixtures_dir, tmp_path):
     for field in ("generated", "considered", "tested", "time_total", "time_detection",
                   "time_testing", "time_stratum", "time_pointless_match", "time_check",
                   "constraints",
-                  "evidence", "detect_subsumed", "detect_futile", "coverage_extensions",
+                  "evidence", "detect_subsumed", "detect_futile", "detect_cached",
+                  "detect_mask_settled", "coverage_extensions",
                   "overhead_fraction", "pruning_overhead_fraction"):
         assert field in record["stats"]
     assert record["stats"]["coverage_extensions"] > 0

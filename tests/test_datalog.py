@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import chain_task, checked_learn, ground, lit, parse_hypothesis, parse_rule
+from helpers import (chain_task, checked_learn, ground, lit, parse_hypothesis, parse_rule,
+                     random_goal_program)
 
 from razor import (
     Const,
@@ -18,7 +19,7 @@ from razor import (
     parse_task,
     subrule,
 )
-from razor.datalog import CoveragePack, FactStore, head_binding
+from razor.datalog import CoveragePack, FactStore, _plan, head_binding
 from razor.deadline import DeadlineExceeded
 from razor.reference import (
     coverage,
@@ -26,7 +27,7 @@ from razor.reference import (
     least_model_naive,
     satisfying_substitutions,
 )
-from razor.logic import Literal, Rule, Var, captured, concrete_key, is_safe
+from razor.logic import Literal, Rule, Var, captured, concrete_key
 from razor.microtask import random_program, random_task
 from razor.oracle import _rule_stratum, enumerate_all
 from razor.taskio import parse_rules
@@ -115,7 +116,7 @@ def test_first_round_builds_no_index_over_a_predicate_without_facts():
 
 
 _BK_PREDS = (("e", 2), ("t", 3), ("u", 1), ("z", 0))
-_H_PREDS = (("g", 2), ("k", 0))
+_H_PREDS = (("g", 2), ("k", 0), ("w", 3))
 
 
 @st.composite
@@ -123,8 +124,8 @@ def _bk_and_hypotheses(draw):
     """A background program and a hypothesis over one to three constants.
     The background has facts of every predicate (the hypothesis's head
     predicates included) and rules over its own predicates; the
-    hypothesis's rules have heads g/2 or k/0 and bodies of one to three
-    literals over every predicate.  Arguments are drawn from the variables
+    hypothesis's rules have heads g/2, k/0 or w/3 and bodies of one to
+    three literals over every predicate.  Arguments are drawn from the variables
     A-D and the constants, so rules get constants in heads and bodies,
     variables repeated inside one literal and literals sharing no
     variable with the others; t/3 makes steps with two bound positions
@@ -153,9 +154,15 @@ def _bk_and_hypotheses(draw):
 
 # the examples pin shapes the draws reach rarely: constant heads, a
 # ternary join with two bound positions, 0-ary literals, cross products,
-# repeated variables, and a checked lookup whose new variable is unused
+# repeated variables, a checked lookup whose new variable is unused, and
+# the fused last step under the four heads of _FUSED_HEADS
+_FUSED_HEADS = parse_rules("g(A,B) :- g(C,B), e(A,C). g(A,B) :- g(A,C), e(C,B). "
+                           "g(c,B) :- g(A,C), e(C,B). w(A,B,C) :- w(A,B,D), e(D,C).")
+
+
 @settings(max_examples=300, deadline=None)
 @given(_bk_and_hypotheses())
+@example((parse_rules("e(a,b). e(b,c). e(c,d). g(b,c). w(c,a,a)."), _FUSED_HEADS))
 @example((parse_rules("e(a,b). e(b,c). e(c,c). t(a,b,c). t(b,c,a). t(c,c,c). u(a). z. g(c,a)."),
           parse_rules("g(A,c) :- e(A,B), t(A,B,C), u(C). g(A,B) :- g(B,A), z. k :- t(A,A,A). "
                       "g(a,B) :- u(B), e(C,C), k. g(A,B) :- g(A,C), t(C,b,B).")))
@@ -168,6 +175,19 @@ def test_semi_naive_equals_naive_and_extension_on_generated_programs(programs):
     full = _fact_set(least_model([*bk, *h]))
     assert full == _fact_set(least_model_naive([*bk, *h]))
     assert _fact_set(least_model(h, base=least_model(bk))) == full
+
+
+def test_fused_last_step_covers_every_head_shape():
+    # the delta pipeline of each _FUSED_HEADS rule starts from the
+    # recursive literal's facts as rows and ends in a fused lookup of e/2:
+    # the appended value first or last in a binary head, beside a constant,
+    # or in a ternary head
+    for rule in _FUSED_HEADS:
+        plan = _plan(rule.body, rule.head)
+        first = next(i for i, (key, _) in enumerate(plan.body) if key == rule.head.pred_key)
+        pipe = plan.pipeline(first)
+        assert [step.whole for step in pipe.steps] == [True], rule
+        assert pipe.last is not None, rule
 
 
 # ---------------------------------------------------------------------------
@@ -834,22 +854,7 @@ def test_extension_equals_full_model_with_target_facts_in_bk():
     rng = random.Random(41)
     recursive = 0
     for _ in range(80):
-        bk = random_program(rng)
-        consts = sorted({t.name for r in bk for t in r.head.args if isinstance(t, Const)})
-        for _ in range(rng.randint(1, 4)):
-            pair = tuple(Const(rng.choice(consts)) for _ in range(2))
-            bk.append(Rule(Literal("goal", pair), frozenset()))
-        preds = sorted({r.head.pred_key for r in bk})
-        variables = [Var(v) for v in "ABC"]
-        h = set()
-        while len(h) < 2:
-            body = frozenset(
-                Literal(name, tuple(rng.choice(variables) for _ in range(arity)))
-                for name, arity in (rng.choice(preds) for _ in range(rng.randint(1, 3)))
-            )
-            rule = Rule(Literal("goal", (Var("A"), Var("B"))), body)
-            if is_safe(rule):
-                h.add(rule)
+        bk, h = random_goal_program(rng)
         base = least_model(bk)
         assert _fact_set(least_model(h, base=base)) == _fact_set(least_model([*bk, *h])), h
         recursive += any(b.pred == "goal" for r in h for b in r.body)

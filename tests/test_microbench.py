@@ -1,10 +1,10 @@
 """Microbenchmarks of hot primitives.  The entailment primitives, pointless
-detection and least_model run on a store the size of a recursive-chain
-task: a 200-node chain with forward skips, its reverse and 100 random
-links.  Constraint matching, pack coverage, canonicalize and
-iter_renamings run over intro's strata, stratum assembly over
-eight_puzzle_mini's size-4 stratum, and the task parser over a 1,000-edge
-chain.  Each runs a fixed number of rounds, so the module stays under
+detection (ungated and gated), least_model and a recursive candidate's
+masks run on a store the size of a recursive-chain task: a 200-node
+chain with forward skips, its reverse and 100 random links.  Constraint
+matching, pack coverage, canonicalize and iter_renamings run over
+intro's strata, stratum assembly over eight_puzzle_mini's size-4
+stratum, and the task parser over a 1,000-edge chain.  Each runs a fixed number of rounds, so the module stays under
 four seconds; nothing is saved unless pytest-benchmark is asked to
 (``--benchmark-autosave``).
 ``--benchmark-disable`` runs each body once as a plain test."""
@@ -15,12 +15,13 @@ import pytest
 
 from helpers import ground, lit, parse_rule, rule_ids
 
-from razor import (Const, covers_rule, find_pointless, implies, least_model, parse_rules,
+from razor import (Const, Rule, covers_rule, find_pointless, implies, least_model, parse_rules,
                    parse_task_strings)
 from razor.datalog import CoveragePack, FactStore
 from razor.generate import Constraint, ConstraintKind, ConstraintStore, HypothesisGenerator
 from razor.logic import canonicalize, iter_renamings
-from razor.search import CoverageTester
+from razor.pointless import Detector
+from razor.search import CoverageTester, pass_through
 
 pytest.importorskip("pytest_benchmark")
 
@@ -75,18 +76,64 @@ def test_bench_covers_rule_one_rule_examples(benchmark, chain):
     assert mask >> 30 == 0  # no reversed edge
 
 
+# detection's rule on the chain: edge(A,C) and prev(C,A) imply each other
+# (reducible), and the other two literals pass the implication test of
+# every reversed-edge negative
+_DETECTED = parse_rule("reach(A,B) :- edge(A,C), prev(C,A), edge(C,B), link(B,C).")
+_FINDINGS = [("indiscriminate", "edge(C,B)", False), ("indiscriminate", "link(B,C)", False),
+             ("reducible", "edge(A,C)", False), ("reducible", "prev(C,A)", False)]
+
+
+def _chain_tester(chain) -> CoverageTester:
+    """A tester over the chain's facts, its 30 positives and its 30
+    negatives."""
+    store, examples, _ = chain
+    return CoverageTester([Rule(atom, frozenset()) for atom in store.atoms()],
+                          examples[:30], examples[30:])
+
+
 def test_bench_find_pointless_chain(benchmark, chain):
-    # detection on one rule against the 30 reversed-edge
-    # negatives: edge(A,C) and prev(C,A) imply each other (reducible), and
-    # the other two literals pass the implication test of every negative
+    # ungated detection on one rule against the 30 reversed-edge negatives
     store, examples, domain = chain
     neg = examples[30:]
-    h = frozenset({parse_rule("reach(A,B) :- edge(A,C), prev(C,A), edge(C,B), link(B,C).")})
-    found = benchmark.pedantic(find_pointless, args=(store, h, neg, domain),
+    found = benchmark.pedantic(find_pointless, args=(store, frozenset({_DETECTED}), neg, domain),
                                rounds=ROUNDS, iterations=1, warmup_rounds=1)
-    assert sorted((ev.kind.value, str(ev.literal), ev.vacuous) for ev in found) == [
-        ("indiscriminate", "edge(C,B)", False), ("indiscriminate", "link(B,C)", False),
-        ("reducible", "edge(A,C)", False), ("reducible", "prev(C,A)", False)]
+    assert sorted((ev.kind.value, str(ev.literal), ev.vacuous) for ev in found) == _FINDINGS
+
+
+def test_bench_gated_detection_chain(benchmark, chain):
+    # the same detection behind the coverage gate, as a run's first scan of
+    # the rule: a fresh tester and detector each round, so every mask is
+    # joined on the tester's second pack
+    _, _, domain = chain
+
+    def fresh_detector():
+        tester = _chain_tester(chain)
+        return (tester.model, frozenset({_DETECTED}), tester.neg, domain), \
+            {"detector": Detector(tester.detection_masks)}
+
+    found = benchmark.pedantic(find_pointless, setup=fresh_detector, rounds=SLOW_ROUNDS,
+                               iterations=1, warmup_rounds=1)
+    assert sorted((ev.kind.value, str(ev.literal), ev.vacuous) for ev in found) == _FINDINGS
+
+
+@pytest.mark.parametrize("text, cut", [
+    ("reach(A,B) :- edge(A,B). reach(A,B) :- edge(A,C), reach(C,B).", True),
+    ("reach(A,B) :- edge(A,B). reach(A,B) :- edge(A,C), reach(B,C).", False),
+], ids=["closure", "reversed-closure"])
+def test_bench_tester_masks_recursive(benchmark, chain, text, cut):
+    # a recursive candidate's masks: the closure passes its second argument
+    # through, so its fixpoint is cut to the examples' second arguments;
+    # the reversed closure passes nothing through and derives the whole
+    # relation
+    tester = _chain_tester(chain)
+    h = frozenset(parse_rules(text))
+    got = benchmark.pedantic(tester.masks, args=(h,), rounds=SLOW_ROUNDS, iterations=1,
+                             warmup_rounds=1)
+    full = least_model(h, base=tester.model)
+    assert got == tuple(sum(1 << i for i, e in enumerate(exs) if full.contains(e))
+                        for exs in (tester.pos, tester.neg))
+    assert (pass_through(h, ("reach", 2)) != ()) is cut
 
 
 def test_bench_least_model_chain_closure(benchmark, chain):

@@ -8,14 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from helpers import checked_learn, ground, parse_hypothesis, parse_rule, rule_ids
+from helpers import (chain_task, checked_learn, ground, parse_hypothesis, parse_rule,
+                     random_goal_program, rule_ids)
 
 from razor import (
+    Const,
     CostScore,
     DetectMode,
     LearnConfig,
     find_pointless,
     learn,
+    least_model,
     parse_task,
     render_hypothesis,
     verify_audit,
@@ -159,6 +162,63 @@ def test_rule_masks_split_one_mask_into_positives_then_negatives():
     assert tester.rule_masks(parse_rule("f(A) :- odd(A).")) == (0b101, 0b01)
 
 
+def test_pass_through_restriction_keeps_the_recursive_masks():
+    # recursive goal/2 hypotheses, heads with a repeated variable or a
+    # constant among them, over backgrounds that hold goal/2 facts: the
+    # masks read from the fixpoint cut to the examples' values at the
+    # pass-through positions equal those of the whole model
+    rng = random.Random(43)
+    restricted = 0
+    for _ in range(200):
+        bk, h = random_goal_program(rng, any_head=True)
+        if not CoverageTester._is_recursive(h):
+            continue
+        consts = sorted({t.name for r in bk for t in r.head.args if isinstance(t, Const)})
+        pairs = [ground("goal", a, b) for a in consts for b in consts]
+        examples = rng.sample(pairs, rng.randint(1, 6))
+        split = rng.randint(0, len(examples))
+        pos, neg = examples[:split], examples[split:]
+        model = least_model([*bk, *h])
+        expected = tuple(sum(1 << i for i, e in enumerate(exs) if model.contains(e))
+                         for exs in (pos, neg))
+        assert CoverageTester(bk, pos, neg).masks(h) == expected, h
+        restricted += search.pass_through(h, ("goal", 2)) != ()
+    assert restricted > 20
+
+
+def test_closure_fixpoint_is_cut_to_the_examples_values(monkeypatch):
+    # on the 200-node task of the benchmark's recursive-chain workload the
+    # closure passes its second argument through, and only the facts
+    # whose second argument is an example's are derived; the reversed
+    # closure passes nothing through and derives the whole relation
+    spec = _load_workloads().recursive_chain(None, 1, None).tasks[2]
+    task = parse_task_strings(spec.files["bias.pl"], spec.files["bk.pl"], spec.files["exs.pl"])
+    tester = CoverageTester(task.bk, task.pos, task.neg)
+    closure = parse_hypothesis("reach(A,B) :- edge(A,B). reach(A,B) :- edge(A,C), reach(C,B).")
+    reversed_closure = parse_hypothesis(
+        "reach(A,B) :- edge(A,B). reach(A,B) :- edge(A,C), reach(B,C).")
+    runs = []
+    real = search.least_model
+
+    def recording(program, base=None, deadline=None):
+        model = real(program, base=base, deadline=deadline)
+        runs.append((frozenset(program), base, len(model.tuples(("reach", 2)))))
+        return model
+
+    monkeypatch.setattr(search, "least_model", recording)
+    for h in (closure, reversed_closure):
+        full = real(h, base=tester.model)
+        expected = tuple(sum(1 << i for i, e in enumerate(exs) if full.contains(e))
+                         for exs in (tester.pos, tester.neg))
+        assert tester.masks(h) == expected
+    (cut, cut_base, cut_facts), (whole, whole_base, whole_facts) = runs
+    assert search.pass_through(closure, ("reach", 2)) == (1,)
+    assert cut != closure and cut_base is not tester.model
+    assert cut_facts == 4888 < len(real(closure, base=tester.model).tuples(("reach", 2))) == 19900
+    assert search.pass_through(reversed_closure, ("reach", 2)) == ()
+    assert (whole, whole_base, whole_facts) == (reversed_closure, tester.model, 25236)
+
+
 def test_tester_refuses_examples_of_two_predicates():
     with pytest.raises(ValueError, match="more than one predicate"):
         CoverageTester([], [ground("f", 3)], [ground("g", 5)])
@@ -228,6 +288,36 @@ def test_learn_times_out_when_detection_passes_the_deadline(monkeypatch, intro_t
     assert raised == [True]
     assert result.termination == TIMEOUT
     assert result.stats.tested == 1 and result.best is not None
+
+
+def test_learn_times_out_inside_gated_detection(monkeypatch, intro_task):
+    # the first implication test that the coverage gate lets through
+    # sleeps until the deadline has passed; the check before the next
+    # negative or captured literal must stop learn there
+    from razor import pointless, search
+
+    real_find, real_implies = search.find_pointless, pointless.implies
+    deadlines, raised = [], []
+
+    def gated(*args, deadline, detector, **kwargs):
+        assert detector is not None
+        deadlines.append(deadline)
+        try:
+            return real_find(*args, deadline=deadline, detector=detector, **kwargs)
+        except DeadlineExceeded:
+            raised.append(True)
+            raise
+
+    def slow(*args, **kwargs):
+        time.sleep(max(0.0, deadlines[-1] - time.perf_counter()) + 0.01)
+        return real_implies(*args, **kwargs)
+
+    monkeypatch.setattr(search, "find_pointless", gated)
+    monkeypatch.setattr(pointless, "implies", slow)
+    result = learn(intro_task, LearnConfig(timeout=0.5, noisy=True))
+    assert raised == [True]
+    assert result.termination == TIMEOUT
+    assert result.best is not None
 
 
 _CLOSURE_BK_TASK = (
@@ -387,6 +477,33 @@ def test_recursive_chain_counters_are_pinned():
                           s.constraints["specialisation"], s.constraints["generalisation"],
                           s.constraints["pointless-super-rule"])
     assert got == CHAIN_COUNTERS
+
+
+def test_gated_detection_finds_what_ungated_detection_finds(fixtures_dir, monkeypatch):
+    # every detection learn runs, behind the coverage gate or from the
+    # run's table, returns the findings of an ungated scan; the small
+    # chain tasks scan their basic rules again in later hypotheses
+    real = search.find_pointless
+    checked = []
+
+    def compared(store, h, neg, domain, mode, deadline, detector):
+        found = real(store, h, neg, domain, mode=mode, deadline=deadline, detector=detector)
+        assert found == real(store, h, neg, domain, mode=mode), set(h)
+        checked.append(h)
+        return found
+
+    monkeypatch.setattr(search, "find_pointless", compared)
+    tasks = [(parse_task(fixtures_dir / name), None) for name in FIXTURE_COUNTERS]
+    tasks += [(mt.task, mt.search_size)
+              for seed in range(1, 41) for mt in (random_task(seed), random_task(seed, True))]
+    tasks += [(chain_task(seed), None) for seed in (1, 2)]
+    cached = settled = 0
+    for task, max_size in tasks:
+        for noisy in (False, True):
+            s = learn(task, LearnConfig(max_size=max_size, noisy=noisy)).stats
+            cached += s.detect_cached
+            settled += s.detect_mask_settled
+    assert checked and cached > 0 and settled > 0
 
 
 @pytest.mark.parametrize("noisy", [False, True])
