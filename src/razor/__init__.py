@@ -37,6 +37,7 @@ from .logic import (
 from .oracle import OracleCeilingError, enumerate_all, oracle_optimal
 from .pointless import (
     DetectMode,
+    Detector,
     PointlessEvidence,
     PointlessKind,
     find_pointless,
@@ -66,7 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditRecord", "Bias", "BiasError", "Const", "Constraint",
-    "ConstraintKind", "ConstraintStore", "CostScore", "DetectMode",
+    "ConstraintKind", "ConstraintStore", "CostScore", "DetectMode", "Detector",
     "FactStore", "Hypothesis", "HypothesisGenerator", "LearnConfig",
     "LearnResult", "Literal", "OracleCeilingError", "PointlessEvidence",
     "PointlessKind", "Rule", "Stats", "Substitution", "Task", "TaskError",

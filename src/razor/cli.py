@@ -13,10 +13,11 @@ import sys
 from pathlib import Path
 
 from .bench import run_record, run_suite, write_csv, write_json
+from .datalog import least_model
 from .logic import canonicalize_hypothesis
 from .oracle import DEFAULT_CEILING, OracleCeilingError, oracle_optimal
-from .pointless import DetectMode, find_pointless
-from .search import CoverageTester, LearnConfig, TIMEOUT, learn, verify_audit
+from .pointless import DetectMode, Detector, find_pointless
+from .search import LearnConfig, TIMEOUT, learn, verify_audit
 from .taskio import (
     TaskError,
     parse_rules,
@@ -134,13 +135,10 @@ def _cmd_learn(args) -> int:
 def _cmd_check(args) -> int:
     task = parse_task(args.task)
     rules = parse_rules(read_text(args.rules), task, path=str(args.rules))
-    tester = CoverageTester(task.bk, task.pos, task.neg)
-    findings = find_pointless(
-        tester.model,
-        canonicalize_hypothesis(rules),
-        task.neg,
-        list(task.constant_domain),
-    )
+    # the admit-all detector: the user's rules may have any head, which no
+    # coverage pack over the task's examples serves
+    detector = Detector(least_model(task.bk), task.neg, list(task.constant_domain))
+    findings = find_pointless(canonicalize_hypothesis(rules), detector)
     # an indiscriminate claim with no matching negative examples is vacuous
     # and not worth reporting to a user
     findings = [ev for ev in findings if not ev.vacuous]

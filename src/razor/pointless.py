@@ -87,30 +87,17 @@ def is_indiscriminate_direct(store: FactStore, neg: Iterable[Literal],
     return True
 
 
-def check_literal(store: FactStore, rule: Rule, lit: Literal,
-                  neg: Sequence[Literal], domain: Sequence[Const],
-                  mode: DetectMode = DetectMode.BOTH,
-                  deadline: Optional[float] = None) -> Optional[PointlessEvidence]:
-    """Classify one captured body literal; reducible is tried first."""
-    if mode.reducible and is_reducible(store, rule, lit, domain):
-        return PointlessEvidence(rule, lit, PointlessKind.REDUCIBLE, reduce_rule(rule, lit))
-    if mode.indiscriminate and is_indiscriminate_direct(store, neg, rule, lit, domain, deadline):
-        return PointlessEvidence(
-            rule, lit, PointlessKind.INDISCRIMINATE, reduce_rule(rule, lit),
-            vacuous=all(head_binding(rule, e) is None for e in neg),
-        )
-    return None
-
-
 class Detector:
-    """Detection state for one learn run: a coverage gate in front of the
-    implication tests, and each basic rule's findings, kept for the run.
+    """Pointless detection over one background model, negative list,
+    domain and mode, all fixed when it is built: a coverage gate in front
+    of the implication tests, and each basic rule's findings, kept for the
+    detector's life.
 
-    ``masks`` gives a rule's coverage masks over the run's positives and
-    its negatives, bit i of the second for the i-th negative that
-    detection is given.  Write R' for rule R with captured literal l
-    dropped.  With a domain that holds every constant of the store, as a
-    task's constant domain does (the background model is function-free):
+    ``masks`` gives a rule's coverage masks over some positives and over
+    the negatives, bit i of the second for ``neg[i]``.  Write R' for rule R
+    with captured literal l dropped.  With a domain that holds every
+    constant of the store, as a task's constant domain does (the
+    background model is function-free):
 
     - R reducible at l makes R and R' cover the same examples;
     - R indiscriminate at l makes them cover the same negatives;
@@ -119,29 +106,37 @@ class Detector:
 
     So the reducible test runs only when both masks agree, and the
     indiscriminate test only when the negative masks do, over the
-    negatives R' covers.
+    negatives R' covers.  Without ``masks`` every rule gets the same
+    masks, no positive and every negative, so the gate admits both tests
+    on every captured literal and every negative: the scan for rules of
+    any head, or a domain that may miss a constant of the store.
 
-    Findings on a basic rule depend on the rule, the store, the negatives,
-    the domain and the mode alone, so a detector serves one store,
-    negative list, domain and mode.  ``cached`` counts the rules answered
-    from its table, ``mask_settled`` the captured literals the masks
-    settled without an implication test."""
+    Findings on a basic rule depend on the rule and on what the detector
+    fixes alone.  ``cached`` counts the rules answered from its table,
+    ``mask_settled`` the captured literals the masks settled without an
+    implication test."""
 
-    def __init__(self, masks: Callable[[Rule], tuple[int, int]]):
-        self.masks = masks
+    def __init__(self, store: FactStore, neg: Sequence[Literal], domain: Sequence[Const],
+                 mode: DetectMode = DetectMode.BOTH,
+                 masks: Optional[Callable[[Rule], tuple[int, int]]] = None):
+        self.store = store
+        self.neg = neg
+        self.domain = domain
+        self.mode = mode
+        admit_all = (0, (1 << len(neg)) - 1)
+        self.masks = masks or (lambda rule: admit_all)
         self.findings: dict[Rule, list[PointlessEvidence]] = {}
         self.cached = 0
         self.mask_settled = 0
 
-    def scan(self, store: FactStore, rule: Rule, neg: Sequence[Literal],
-             domain: Sequence[Const], mode: DetectMode,
-             deadline: Optional[float]) -> list[PointlessEvidence]:
+    def scan(self, rule: Rule, deadline: Optional[float]) -> list[PointlessEvidence]:
         """The findings on a basic rule, computed on its first scan."""
         found = self.findings.get(rule)
         if found is not None:
             self.cached += 1
             return found
         found = []
+        store, neg, domain, mode = self.store, self.neg, self.domain, self.mode
         pm, nm = self.masks(rule)
         for lit in _captured_literals(rule):
             check_deadline(deadline)
@@ -166,44 +161,28 @@ def _captured_literals(rule: Rule) -> list[Literal]:
     return [lit for lit in sorted(rule.body, key=concrete_key) if captured(rule, lit)]
 
 
-def find_pointless(
-    store: FactStore,
-    h: Hypothesis,
-    neg: Sequence[Literal],
-    domain: Sequence[Const],
-    mode: DetectMode = DetectMode.BOTH,
-    deadline: Optional[float] = None,
-    detector: Optional[Detector] = None,
-) -> list[PointlessEvidence]:
-    """Scan a hypothesis for pointless rules.
+def find_pointless(h: Hypothesis, detector: Detector,
+                   deadline: Optional[float] = None) -> list[PointlessEvidence]:
+    """Scan a hypothesis for pointless rules with the detector.
 
     Rules are visited in canonical order and only basic rules are
     considered; evidence names each rule as given (the generator builds
     every rule canonical).  For each captured body literal the reducible
     test runs before the indiscriminate test, and every (rule, literal)
     finding in the hypothesis is returned: each licenses a constraint of
-    its own.  The negatives are passed through as given: the
-    indiscriminate test skips each one the rule's head cannot bind
-    (head_binding is None), as any of another predicate, so a rule about
-    another predicate than theirs gets at most a vacuous indiscriminate
-    claim.  With a detector, built for these arguments, each rule is
-    scanned once behind its coverage gate and answered from its table
-    afterwards; the findings are the same.  Past the deadline (a
-    time.perf_counter value), checked before each captured literal and
-    each negative example's implication test, it raises DeadlineExceeded.
+    its own.  The indiscriminate test skips each of the detector's
+    negatives that the rule's head cannot bind (head_binding is None), as
+    any of another predicate, so a rule about another predicate than
+    theirs gets at most a vacuous indiscriminate claim.  A rule the
+    detector has scanned before is answered from its table.  Past the
+    deadline (a time.perf_counter value), checked before each captured
+    literal and each negative example's implication test, it raises
+    DeadlineExceeded.
     """
-    if mode is DetectMode.OFF:
+    if detector.mode is DetectMode.OFF:
         return []
     out: list[PointlessEvidence] = []
     for rule in sorted(h, key=rule_sort_key):
-        if not is_basic(rule, h):
-            continue
-        if detector is not None:
-            out += detector.scan(store, rule, neg, domain, mode, deadline)
-            continue
-        for lit in _captured_literals(rule):
-            check_deadline(deadline)
-            ev = check_literal(store, rule, lit, neg, domain, mode, deadline)
-            if ev is not None:
-                out.append(ev)
+        if is_basic(rule, h):
+            out += detector.scan(rule, deadline)
     return out

@@ -1,10 +1,11 @@
 """Slow reference implementations kept apart from the hot path: the
 naive least model, whole-model coverage, refutation-first implication,
 the enumeration of satisfying substitutions, the coverage-equality
-indiscriminate test, the per-constraint violation test and
-sub-hypothesis.  The tests check the fast queries of
-``razor.datalog``, the ``ConstraintStore`` index and the detector against
-them; nothing on the learner's path imports this module."""
+indiscriminate test, pointless detection without a coverage gate or a
+memo, the per-constraint violation test and sub-hypothesis.  The tests
+check the fast queries of ``razor.datalog``, the ``ConstraintStore``
+index and ``pointless.Detector`` against them; nothing on the learner's
+path imports this module."""
 
 from __future__ import annotations
 
@@ -12,11 +13,13 @@ from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .datalog import (Fact, FactStore, PredKey, _check_safe, _plan, _solve, covers_rule,
-                      least_model)
+                      head_binding, least_model)
+from .deadline import check_deadline
 from .generate import Constraint, ConstraintKind, _pointless_match
 from .logic import (Const, Hypothesis, Literal, Rule, Substitution, apply_subst, is_basic,
-                    renamed_subrule, subrule)
-from .pointless import reduce_rule
+                    renamed_subrule, rule_sort_key, subrule)
+from .pointless import (DetectMode, PointlessEvidence, PointlessKind, _captured_literals,
+                        is_indiscriminate_direct, is_reducible, reduce_rule)
 
 
 def least_model_naive(program: Iterable[Rule]) -> FactStore:
@@ -143,6 +146,47 @@ def is_indiscriminate(store: FactStore, neg: Iterable[Literal],
     negative examples.  Vacuously true when neg is empty."""
     neg = list(neg)
     return covers_rule(store, reduce_rule(rule, lit), neg) & ~covers_rule(store, rule, neg) == 0
+
+
+def check_literal(store: FactStore, rule: Rule, lit: Literal,
+                  neg: Sequence[Literal], domain: Sequence[Const],
+                  mode: DetectMode = DetectMode.BOTH,
+                  deadline: Optional[float] = None) -> Optional[PointlessEvidence]:
+    """Classify one captured body literal; reducible is tried first."""
+    if mode.reducible and is_reducible(store, rule, lit, domain):
+        return PointlessEvidence(rule, lit, PointlessKind.REDUCIBLE, reduce_rule(rule, lit))
+    if mode.indiscriminate and is_indiscriminate_direct(store, neg, rule, lit, domain, deadline):
+        return PointlessEvidence(
+            rule, lit, PointlessKind.INDISCRIMINATE, reduce_rule(rule, lit),
+            vacuous=all(head_binding(rule, e) is None for e in neg),
+        )
+    return None
+
+
+def find_pointless_ungated(
+    store: FactStore,
+    h: Hypothesis,
+    neg: Sequence[Literal],
+    domain: Sequence[Const],
+    mode: DetectMode = DetectMode.BOTH,
+    deadline: Optional[float] = None,
+) -> list[PointlessEvidence]:
+    """Reference for ``pointless.find_pointless``: every captured literal
+    of every basic rule of h, in canonical rule order, gets the reducible
+    test and then the per-negative test over every negative, with no
+    coverage gate and no table of earlier findings."""
+    if mode is DetectMode.OFF:
+        return []
+    out: list[PointlessEvidence] = []
+    for rule in sorted(h, key=rule_sort_key):
+        if not is_basic(rule, h):
+            continue
+        for lit in _captured_literals(rule):
+            check_deadline(deadline)
+            ev = check_literal(store, rule, lit, neg, domain, mode, deadline)
+            if ev is not None:
+                out.append(ev)
+    return out
 
 
 def violates(h: Hypothesis, c: Constraint) -> bool:

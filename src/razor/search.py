@@ -169,11 +169,12 @@ class CoverageTester:
 
     def detection_masks(self, rule: Rule) -> tuple[int, int]:
         """The masks of a rule that pointless detection compares: a tested
-        rule's from the cache, any other's (a rule with a body literal
-        dropped, or a basic rule of a recursive hypothesis) from a second
-        pack over the same examples and a cache of its own, so that the
-        first pack keeps the prefixes its strata share and
-        coverage_extensions counts testing alone."""
+        rule's from the cache, and a rule with a body literal dropped from
+        a second pack over the same examples and a cache of its own, so
+        that the first pack keeps the prefixes its strata share and
+        coverage_extensions counts testing alone.  No other rule comes
+        here: detection scans basic rules only, which a recursive
+        hypothesis (of the one target predicate) does not have."""
         masks = self._rule_cache.get(rule) or self._side_cache.get(rule)
         if masks is None:
             masks = self._side_cache[rule] = self._split(self._side_pack.mask(rule))
@@ -292,7 +293,7 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
     which detection_is_futile holds (counted in detect_futile).  Detection
     runs behind a coverage gate and keeps each rule's findings for the run
     (pointless.Detector, fed by CoverageTester.detection_masks); its
-    findings are those of the ungated find_pointless."""
+    findings are those of the ungated reference.find_pointless_ungated."""
     config = config or LearnConfig()
     bias = task.bias
     max_size = config.max_size if config.max_size is not None else bias.max_size
@@ -336,7 +337,8 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
 
     try:
         tester = CoverageTester(task.bk, task.pos, task.neg, deadline)
-        detector = Detector(tester.detection_masks)
+        detector = Detector(tester.model, tester.neg, domain, config.pointless,
+                            tester.detection_masks)
         # under enable_recursion the background may hold facts of the
         # target, so the empty hypothesis can cover examples
         best_score = tester.score(best)
@@ -378,12 +380,7 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
                     stats.detect_futile += 1
                     continue
                 t0 = time.perf_counter()
-                found = find_pointless(
-                    tester.model, h, tester.neg, domain,
-                    mode=config.pointless,
-                    deadline=deadline,
-                    detector=detector,
-                )
+                found = find_pointless(h, detector=detector, deadline=deadline)
                 stats.time_detection += time.perf_counter() - t0
                 for ev in found:
                     evidence_log.append(ev)

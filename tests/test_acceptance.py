@@ -12,6 +12,7 @@ from helpers import parse_hypothesis, random_super_rules
 from razor import (
     CostScore,
     DetectMode,
+    Detector,
     LearnConfig,
     find_pointless,
     is_indiscriminate_direct,
@@ -123,13 +124,12 @@ def test_criterion_4_closure_of_detections(suite):
     failures = []
     for mt, result, _, _ in suite:
         task = mt.task
-        model = least_model(task.bk)
-        dom = list(task.constant_domain)
+        detector = Detector(least_model(task.bk), task.neg, list(task.constant_domain),
+                            DetectMode.BOTH)
         for ev in result.evidence:
             for bigger in random_super_rules(task, ev.rule, rng, 20):
                 checked += 1
-                found = find_pointless(model, frozenset({bigger}), task.neg,
-                                       dom, mode=DetectMode.BOTH)
+                found = find_pointless(frozenset({bigger}), detector)
                 if not found:
                     failures.append((mt.seed, repr(ev), repr(bigger)))
     report(4, checked > 0 and not failures,

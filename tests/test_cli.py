@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import parse_rule
+from test_parse_corpus import RULESETS
 from razor.cli import main
 from razor.logic import canonicalize
 from razor.taskio import render_rule
@@ -176,6 +177,52 @@ def test_check_drops_indiscriminate_claims_no_negative_matches(capsys, tmp_path,
     code, out, _ = run_cli("check", *_vacuity_task(tmp_path, negatives), capsys=capsys)
     assert code == 0
     assert "no pointless literals found" in out
+
+
+# every bundled ruleset's report against its own task, byte for byte
+CHECK_REPORTS = {
+    "gt_transitive.pl": (3, [
+        "reducible: h :- gt(A,B), gt(A,C), gt(B,C).  redundant literal: gt(A,C)",
+        "1 pointless literal(s) found",
+    ]),
+    "intro_good.pl": (0, [
+        "no pointless literals found",
+    ]),
+    "intro_indiscriminate.pl": (3, [
+        "indiscriminate: f(A) :- lt(A,10).  redundant literal: lt(A,10)",
+        "1 pointless literal(s) found",
+    ]),
+    "intro_reducible.pl": (3, [
+        "reducible: f(A) :- int(A), odd(A).  redundant literal: int(A)",
+        "1 pointless literal(s) found",
+    ]),
+    "member_uncaptured.pl": (0, [
+        "no pointless literals found",
+    ]),
+    "puzzle_indiscriminate.pl": (3, [
+        "indiscriminate: legal_move(A,B,C,D) :- index(C).  redundant literal: index(C)",
+        "indiscriminate: legal_move(A,B,C,D) :- index(D).  redundant literal: index(D)",
+        "indiscriminate: legal_move(A,B,C,D) :- role(B).  redundant literal: role(B)",
+        "3 pointless literal(s) found",
+    ]),
+    "puzzle_reducible.pl": (3, [
+        "reducible: legal_move(A,B,C,D) :- pos1(D), pos2(E), succ(D,E).  "
+        "redundant literal: pos1(D)",
+        "reducible: legal_move(A,B,C,D) :- pos1(D), pos2(E), succ(D,E).  "
+        "redundant literal: pos2(E)",
+        "reducible: legal_move(A,B,C,D) :- pos1(D), pos2(E), succ(D,E).  "
+        "redundant literal: succ(D,E)",
+        "3 pointless literal(s) found",
+    ]),
+}
+
+
+@pytest.mark.parametrize("ruleset", sorted(RULESETS))
+def test_check_reports_every_bundled_ruleset(capsys, fixtures_dir, ruleset):
+    code, out, _ = run_cli("check", str(fixtures_dir / RULESETS[ruleset]),
+                           str(fixtures_dir / "checks" / ruleset), capsys=capsys)
+    want_code, want_lines = CHECK_REPORTS[ruleset]
+    assert (code, out) == (want_code, "".join(f"{line}\n" for line in want_lines))
 
 
 def test_oracle_command(capsys, fixtures_dir):

@@ -12,6 +12,7 @@ from razor import (
     ConstraintKind,
     ConstraintStore,
     DetectMode,
+    Detector,
     HypothesisGenerator,
     LearnConfig,
     find_pointless,
@@ -39,8 +40,8 @@ from razor.search import CoverageTester
 def _evidence(task, text):
     h = frozenset(canonicalize(r) for r in parse_hypothesis(text))
     model = least_model(task.bk)
-    found = find_pointless(model, h, task.neg, list(task.constant_domain),
-                           mode=DetectMode.BOTH)
+    found = find_pointless(h, Detector(model, task.neg, list(task.constant_domain),
+                                       DetectMode.BOTH))
     assert found, f"no evidence in {text!r}"
     return found[0]
 
@@ -315,6 +316,7 @@ def test_pointless_constraints_from_a_missed_positive_are_subsumed(seed):
     assert task.bias.max_rules == 1
     candidates = _all_candidates(mt)
     tester = CoverageTester(task.bk, task.pos, task.neg)
+    detector = Detector(tester.model, task.neg, list(task.constant_domain))
     rng = random.Random(seed)
     banned = 0
     for h0 in rng.sample(candidates, 40):
@@ -322,7 +324,7 @@ def test_pointless_constraints_from_a_missed_positive_are_subsumed(seed):
         if pm.bit_count() == len(task.pos):
             continue
         spec = Constraint(ConstraintKind.SPECIALISATION, hypothesis=h0)
-        for ev in find_pointless(tester.model, h0, task.neg, list(task.constant_domain)):
+        for ev in find_pointless(h0, detector):
             c = Constraint(ConstraintKind.POINTLESS_SUPER_RULE, evidence=ev)
             for h in candidates:
                 if violates(h, c):

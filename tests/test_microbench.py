@@ -1,5 +1,5 @@
 """Microbenchmarks of hot primitives.  The entailment primitives, pointless
-detection (ungated and gated), least_model and a recursive candidate's
+detection (admit-all and gated), least_model and a recursive candidate's
 masks run on a store the size of a recursive-chain task: a 200-node
 chain with forward skips, its reverse and 100 random links.  Constraint
 matching, pack coverage, canonicalize and iter_renamings run over
@@ -15,12 +15,11 @@ import pytest
 
 from helpers import ground, lit, parse_rule, rule_ids
 
-from razor import (Const, Rule, covers_rule, find_pointless, implies, least_model, parse_rules,
-                   parse_task_strings)
+from razor import (Const, Detector, Rule, covers_rule, find_pointless, implies, least_model,
+                   parse_rules, parse_task_strings)
 from razor.datalog import CoveragePack, FactStore
 from razor.generate import Constraint, ConstraintKind, ConstraintStore, HypothesisGenerator
 from razor.logic import canonicalize, iter_renamings
-from razor.pointless import Detector
 from razor.search import CoverageTester, pass_through
 
 pytest.importorskip("pytest_benchmark")
@@ -93,11 +92,19 @@ def _chain_tester(chain) -> CoverageTester:
 
 
 def test_bench_find_pointless_chain(benchmark, chain):
-    # ungated detection on one rule against the 30 reversed-edge negatives
+    # admit-all detection on one rule against the 30 reversed-edge
+    # negatives: a fresh detector each round, so no round is answered from
+    # an earlier round's table
     store, examples, domain = chain
-    neg = examples[30:]
-    found = benchmark.pedantic(find_pointless, args=(store, frozenset({_DETECTED}), neg, domain),
-                               rounds=ROUNDS, iterations=1, warmup_rounds=1)
+    detectors = []
+
+    def fresh_detector():
+        detectors.append(Detector(store, examples[30:], domain))
+        return (frozenset({_DETECTED}), detectors[-1]), {}
+
+    found = benchmark.pedantic(find_pointless, setup=fresh_detector, rounds=ROUNDS,
+                               iterations=1, warmup_rounds=1)
+    assert not any(d.cached for d in detectors)
     assert sorted((ev.kind.value, str(ev.literal), ev.vacuous) for ev in found) == _FINDINGS
 
 
@@ -106,14 +113,17 @@ def test_bench_gated_detection_chain(benchmark, chain):
     # the rule: a fresh tester and detector each round, so every mask is
     # joined on the tester's second pack
     _, _, domain = chain
+    detectors = []
 
     def fresh_detector():
         tester = _chain_tester(chain)
-        return (tester.model, frozenset({_DETECTED}), tester.neg, domain), \
-            {"detector": Detector(tester.detection_masks)}
+        detectors.append(Detector(tester.model, tester.neg, domain,
+                                  masks=tester.detection_masks))
+        return (frozenset({_DETECTED}), detectors[-1]), {}
 
     found = benchmark.pedantic(find_pointless, setup=fresh_detector, rounds=SLOW_ROUNDS,
                                iterations=1, warmup_rounds=1)
+    assert not any(d.cached for d in detectors)
     assert sorted((ev.kind.value, str(ev.literal), ev.vacuous) for ev in found) == _FINDINGS
 
 
@@ -152,11 +162,11 @@ def test_bench_pointless_match_over_a_stratum(benchmark, intro_task):
     # as the generator's pointless check does; each round starts from a
     # fresh store, as a run does
     gen = HypothesisGenerator(intro_task.bias, ConstraintStore())
-    model = CoverageTester(intro_task.bk, intro_task.pos, intro_task.neg).model
-    domain = list(intro_task.constant_domain)
+    detector = Detector(CoverageTester(intro_task.bk, intro_task.pos, intro_task.neg).model,
+                        intro_task.neg, list(intro_task.constant_domain))
     constraints = [Constraint(ConstraintKind.POINTLESS_SUPER_RULE, evidence=ev)
                    for r in gen.rule_stratum(3)
-                   for ev in find_pointless(model, frozenset({r}), intro_task.neg, domain)]
+                   for ev in find_pointless(frozenset({r}), detector)]
     stratum = gen.rule_stratum(4)
 
     def fresh_store():

@@ -6,6 +6,7 @@ from helpers import ground, lit, parse_hypothesis, parse_rule
 
 from razor import (
     DetectMode,
+    Detector,
     PointlessKind,
     find_pointless,
     is_indiscriminate_direct,
@@ -20,7 +21,7 @@ from razor.reference import is_indiscriminate
 
 def _detect(task, h, mode=DetectMode.BOTH):
     model = least_model(task.bk)
-    return find_pointless(model, h, task.neg, list(task.constant_domain), mode=mode)
+    return find_pointless(h, Detector(model, task.neg, list(task.constant_domain), mode))
 
 
 # ---------------------------------------------------------------------------
@@ -39,14 +40,15 @@ def test_find_pointless_checks_the_deadline(intro_task, intro_model):
     domain = list(intro_task.constant_domain)
     h = parse_hypothesis("f(A) :- odd(A), int(A).")
     with pytest.raises(DeadlineExceeded):
-        find_pointless(intro_model, h, intro_task.neg, domain, deadline=0.0)
+        find_pointless(h, Detector(intro_model, intro_task.neg, domain), deadline=0.0)
     # the indiscriminate test checks it before each negative's implication
     rule = parse_rule("f(A) :- lt(A,10).")
     with pytest.raises(DeadlineExceeded):
         is_indiscriminate_direct(intro_model, intro_task.neg, rule, lit("lt", "A", "10"),
                                  domain, deadline=0.0)
     # a deadline in the future changes nothing
-    far = find_pointless(intro_model, h, intro_task.neg, domain, deadline=float("inf"))
+    far = find_pointless(h, Detector(intro_model, intro_task.neg, domain),
+                         deadline=float("inf"))
     assert far == _detect(intro_task, h)
 
 
@@ -232,8 +234,8 @@ def test_specialisations_of_flagged_rules_stay_pointless(intro_task):
     from helpers import random_super_rules
 
     rng = random.Random(47)
-    model = least_model(intro_task.bk)
-    dom = list(intro_task.constant_domain)
+    detector = Detector(least_model(intro_task.bk), intro_task.neg,
+                        list(intro_task.constant_domain))
     flagged = [
         parse_hypothesis("f(A) :- odd(A), int(A)."),
         parse_hypothesis("f(A) :- lt(A,10)."),
@@ -242,5 +244,5 @@ def test_specialisations_of_flagged_rules_stay_pointless(intro_task):
         [ev] = _detect(intro_task, h)
         for bigger in random_super_rules(intro_task, ev.rule, rng, 20):
             assert subrule(ev.rule, bigger)
-            found = find_pointless(model, frozenset({bigger}), intro_task.neg, dom)
+            found = find_pointless(frozenset({bigger}), detector)
             assert found, f"extension lost the pointless literal: {bigger!r}"

@@ -15,6 +15,7 @@ from razor import (
     Const,
     CostScore,
     DetectMode,
+    Detector,
     LearnConfig,
     find_pointless,
     learn,
@@ -29,6 +30,8 @@ from razor.generate import ConstraintStore, HypothesisGenerator
 from razor.search import EXHAUSTED, PERFECT, TIMEOUT, build_cons, CoverageTester
 from razor.logic import hypothesis_size
 from razor.microtask import random_task
+from razor.oracle import _rule_stratum
+from razor.reference import find_pointless_ungated
 from razor.taskio import parse_task_strings
 
 
@@ -479,16 +482,30 @@ def test_recursive_chain_counters_are_pinned():
     assert got == CHAIN_COUNTERS
 
 
+def _scan_gated_and_ungated(tester, domain, hypotheses) -> Detector:
+    """Test each hypothesis and scan it through one gated detector over
+    the tester, as learn does, asserting the ungated reference's
+    findings; the detector is returned for its counters."""
+    detector = Detector(tester.model, tester.neg, domain, DetectMode.BOTH,
+                        tester.detection_masks)
+    for h in hypotheses:
+        tester.masks(h)
+        assert find_pointless(h, detector) == \
+            find_pointless_ungated(tester.model, h, tester.neg, domain), set(h)
+    return detector
+
+
 def test_gated_detection_finds_what_ungated_detection_finds(fixtures_dir, monkeypatch):
     # every detection learn runs, behind the coverage gate or from the
-    # run's table, returns the findings of an ungated scan; the small
-    # chain tasks scan their basic rules again in later hypotheses
+    # run's table, returns the findings of the ungated reference scan; the
+    # small chain tasks scan their basic rules again in later hypotheses
     real = search.find_pointless
     checked = []
 
-    def compared(store, h, neg, domain, mode, deadline, detector):
-        found = real(store, h, neg, domain, mode=mode, deadline=deadline, detector=detector)
-        assert found == real(store, h, neg, domain, mode=mode), set(h)
+    def compared(h, detector, deadline):
+        found = real(h, detector, deadline)
+        assert found == find_pointless_ungated(detector.store, h, detector.neg,
+                                               detector.domain, detector.mode), set(h)
         checked.append(h)
         return found
 
@@ -504,6 +521,43 @@ def test_gated_detection_finds_what_ungated_detection_finds(fixtures_dir, monkey
             cached += s.detect_cached
             settled += s.detect_mask_settled
     assert checked and cached > 0 and settled > 0
+
+    # hypotheses learn never offers: two goal/2 rules, heads with a
+    # repeated variable or a constant among them, over random backgrounds
+    # that hold goal/2 facts, scanned rule by rule and then together
+    rng = random.Random(61)
+    settled = 0
+    for i in range(300):
+        bk, h = random_goal_program(rng, any_head=i % 2 == 1)
+        if CoverageTester._is_recursive(h):
+            continue
+        consts = sorted({t.name for r in bk for t in r.head.args if isinstance(t, Const)})
+        pairs = [ground("goal", a, b) for a in consts for b in consts]
+        examples = rng.sample(pairs, rng.randint(2, min(8, len(pairs))))
+        split = rng.randint(0, len(examples))
+        tester = CoverageTester(bk, examples[:split], examples[split:])
+        detector = _scan_gated_and_ungated(
+            tester, [Const(c) for c in consts], [*(frozenset({r}) for r in h), h])
+        assert detector.cached == 2
+        settled += detector.mask_settled
+    # one- and two-rule hypotheses over up to 60 rules of each micro
+    # stratum, in stratum order, so that a rule's later scans are answered
+    # from the detector's table
+    for seed in range(1, 13):
+        task = random_task(seed).task
+        stratum = []
+        for size in (2, 3, 4):
+            rules = _rule_stratum(task.bias, size, 200_000)
+            stratum += [rules[i] for i in sorted(rng.sample(range(len(rules)),
+                                                            min(len(rules), 60)))]
+        picks = sorted(rng.sample(range(len(stratum)), min(len(stratum), 40)))
+        hypotheses = [frozenset({r}) for r in stratum]
+        hypotheses += [frozenset({stratum[a], stratum[b]}) for a, b in zip(picks, picks[1:])]
+        detector = _scan_gated_and_ungated(
+            CoverageTester(task.bk, task.pos, task.neg), list(task.constant_domain), hypotheses)
+        assert detector.cached > 0
+        settled += detector.mask_settled
+    assert settled > 0
 
 
 @pytest.mark.parametrize("noisy", [False, True])
@@ -571,13 +625,13 @@ def _assert_futile_constraints_ban_nothing_else(task, space, skipped):
     # constraints of the skipped rules smaller than R.
     from razor.generate import Constraint, ConstraintKind, ConstraintStore
 
-    model = CoverageTester(task.bk, task.pos, task.neg).model
-    domain = list(task.constant_domain)
+    detector = Detector(CoverageTester(task.bk, task.pos, task.neg).model, task.neg,
+                        list(task.constant_domain))
     everything = max(next(iter(h)).size for h in skipped) + 1
     smaller_than = {size: ConstraintStore() for size in range(2, everything + 1)}
     for h in skipped:
         (rule,) = h
-        for ev in find_pointless(model, h, task.neg, domain):
+        for ev in find_pointless(h, detector):
             for size, store in smaller_than.items():
                 if rule.size < size:
                     store.add(Constraint(ConstraintKind.POINTLESS_SUPER_RULE, evidence=ev))
