@@ -121,6 +121,9 @@ def _cmd_learn(args) -> int:
         f"generated={stats.generated} tested={stats.tested} "
         f"time={stats.time_total:.3f}s detection={stats.time_detection:.3f}s"
     )
+    if stats.noiseless_violated:
+        print("noiseless assumption violated: no zero-error hypothesis in the space, "
+              "so the failure constraints may have pruned the optimum (try --noisy)")
 
     if config.audit:
         problems = verify_audit(task, result)

@@ -173,7 +173,9 @@ class ConstraintStore:
     shape never shares a bucket.  The generator registers each stratum's
     rules as it assembles them; any other rule gets an id the first time
     the store sees it (rule_id).  The hypothesis-level checks take a tuple
-    of rule ids in rule_sort_key order, so a check hashes no Rule."""
+    of rule ids in rule_sort_key order, so a check hashes no Rule.
+    target_body flags, per rule id, a rule with a body literal of its head
+    predicate: a rule that is no base rule."""
 
     def __init__(self):
         self._seen: set[tuple] = set()  # what add compares: kind, rule ids, literal
@@ -193,6 +195,7 @@ class ConstraintStore:
         # the rule table, and the ids of rules and of head and literal keys
         self.rules: list[Rule] = []
         self.rule_keys: list[tuple[int, ...]] = []
+        self.target_body: list[bool] = []
         self._hits: list[Optional[_RuleHits]] = []
         self._rule_ids: dict[Rule, int] = {}
         self._key_ids: dict[tuple, int] = {}
@@ -211,6 +214,8 @@ class ConstraintStore:
         if rid == len(self.rules):
             self.rules.append(rule)
             self.rule_keys.append(key)
+            self.target_body.append(
+                any(lit.pred_key == rule.head.pred_key for lit in rule.body))
             self._hits.append(None)
         return rid
 
@@ -482,6 +487,26 @@ class HypothesisGenerator:
     record; audit only decides whether a pointless rejection is recorded,
     so an audited run takes the same path as a plain one.
 
+    A base rule is one with no body literal of the head predicate.  When
+    target_in_background is False, set by a caller whose background holds
+    no fact of the head predicate before the first next_hypothesis, a
+    candidate with no base rule (every id flagged in the store's
+    target_body) is skipped before the constraint checks; baseless counts
+    the skipped candidates and considered does not.  Such a candidate h
+    cannot be optimal, and nothing it would teach the search matters:
+      - it derives nothing: in the first fixpoint round every rule of h
+        needs a target fact and the background has none, so h covers
+        exactly what the empty hypothesis covers, with more literals;
+      - it is never returned: the empty hypothesis is scored first and is
+        replaced only by a strictly better score;
+      - it covers no negative, so it gets no generalisation constraint;
+        its specialisation constraint bans only candidates in which every
+        rule holds a renamed rule of h, and with it a target literal, so
+        they are baseless too; and h is recursive, so it gets no
+        pointless detection.
+    Every other candidate is offered, tested and constrained as before.
+    By default nothing is skipped.
+
     nodes_explored counts the bodies stratum assembly builds: every
     partial body it extends, the empty one included, and every complete
     body that is safe and connected, before the test against its
@@ -501,8 +526,10 @@ class HypothesisGenerator:
         self.time_stratum = 0.0
         self.time_check = 0.0
         self.time_pointless_match = 0.0
+        self.target_in_background = True
         self.emitted = 0
         self.considered = 0
+        self.baseless = 0
         self.audit_records: list[AuditRecord] = []
         self._table: Optional[_ChoiceTable] = None
         self._strata: dict[int, list[Rule]] = {}
@@ -731,8 +758,13 @@ class HypothesisGenerator:
         return False
 
     def _stream(self, size: int) -> Iterator[Hypothesis]:
+        skip = not self.target_in_background and self.bias.recursion
+        target_body = self.store.target_body
         for ids in self._candidates(size):
             check_deadline(self.deadline)
+            if skip and all(map(target_body.__getitem__, ids)):
+                self.baseless += 1
+                continue
             self.considered += 1
             if self._passes(ids):
                 self.emitted += 1

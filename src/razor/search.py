@@ -55,7 +55,10 @@ class LearnConfig:
 @dataclass
 class Stats:
     generated: int = 0
-    considered: int = 0  # candidates checked against the store; generated of them passed
+    # candidates checked against the store, the baseless ones not among
+    # them; generated of them passed
+    considered: int = 0
+    baseless: int = 0  # candidates skipped unchecked: no base rule, no target fact in the background
     tested: int = 0
     nodes_explored: int = 0
     constraints: dict = field(default_factory=dict)
@@ -65,6 +68,9 @@ class Stats:
     detect_cached: int = 0  # basic rules whose findings came from the run's table
     detect_mask_settled: int = 0  # captured literals the coverage masks settled alone
     coverage_extensions: int = 0  # body literals the coverage pack joined to a batch of rows
+    # a noiseless run exhausted the space with no zero-error hypothesis, so
+    # its failure constraints may have pruned the optimum
+    noiseless_violated: bool = False
     time_total: float = 0.0
     time_detection: float = 0.0
     time_testing: float = 0.0
@@ -293,7 +299,10 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
     which detection_is_futile holds (counted in detect_futile).  Detection
     runs behind a coverage gate and keeps each rule's findings for the run
     (pointless.Detector, fed by CoverageTester.detection_masks); its
-    findings are those of the ungated reference.find_pointless_ungated."""
+    findings are those of the ungated reference.find_pointless_ungated.
+    When the background model holds no fact of the target, the generator
+    skips every candidate with no base rule, which derives nothing (see
+    HypothesisGenerator; counted in baseless)."""
     config = config or LearnConfig()
     bias = task.bias
     max_size = config.max_size if config.max_size is not None else bias.max_size
@@ -318,6 +327,7 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
     def finish() -> LearnResult:
         stats.generated = gen.emitted
         stats.considered = gen.considered
+        stats.baseless = gen.baseless
         stats.nodes_explored = gen.nodes_explored
         stats.time_stratum = gen.time_stratum
         stats.time_pointless_match = gen.time_pointless_match
@@ -328,6 +338,8 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
         if detector is not None:
             stats.detect_cached = detector.cached
             stats.detect_mask_settled = detector.mask_settled
+        stats.noiseless_violated = (not config.noisy and termination == EXHAUSTED
+                                    and best_score.errors > 0)
         stats.time_total = time.perf_counter() - t_start
         if termination == TIMEOUT and stats.tested == 0:
             return LearnResult(None, None, TIMEOUT, stats,
@@ -339,6 +351,7 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
         tester = CoverageTester(task.bk, task.pos, task.neg, deadline)
         detector = Detector(tester.model, tester.neg, domain, config.pointless,
                             tester.detection_masks)
+        gen.target_in_background = bool(tester.model.tuples(bias.head))
         # under enable_recursion the background may hold facts of the
         # target, so the empty hypothesis can cover examples
         best_score = tester.score(best)

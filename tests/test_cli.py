@@ -43,10 +43,28 @@ def test_learn_writes_versioned_stats(capsys, fixtures_dir, tmp_path):
                   "time_testing", "time_stratum", "time_pointless_match", "time_check",
                   "constraints",
                   "evidence", "detect_subsumed", "detect_futile", "detect_cached",
-                  "detect_mask_settled", "coverage_extensions",
-                  "overhead_fraction", "pruning_overhead_fraction"):
+                  "detect_mask_settled", "coverage_extensions", "baseless",
+                  "noiseless_violated", "overhead_fraction", "pruning_overhead_fraction"):
         assert field in record["stats"]
     assert record["stats"]["coverage_extensions"] > 0
+    assert record["stats"]["noiseless_violated"] is False
+
+
+def test_learn_says_when_the_noiseless_assumption_broke(capsys, tmp_path):
+    # nothing in the space covers the positive, so the noiseless run
+    # exhausts the space with an error left
+    task = tmp_path / "task"
+    task.mkdir()
+    (task / "bias.pl").write_text(
+        "head_pred(f,1). body_pred(p,1). max_vars(1). max_body(1). max_rules(1).\n")
+    (task / "bk.pl").write_text("p(1). p(2).\n")
+    (task / "exs.pl").write_text("pos(f(9)). neg(f(1)).\n")
+    code, out, _ = run_cli("learn", str(task), capsys=capsys)
+    assert code == 0
+    assert "(exhausted)" in out and "noiseless assumption violated" in out
+    code, out, _ = run_cli("learn", str(task), "--noisy", capsys=capsys)
+    assert code == 0
+    assert "noiseless assumption violated" not in out
 
 
 def test_learn_pointless_flag_values(capsys, fixtures_dir):

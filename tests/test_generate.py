@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import hypothesis_key, parse_hypothesis, parse_rule, rule_ids
+from helpers import chain_task, hypothesis_key, parse_hypothesis, parse_rule, rule_ids
 
 from razor import (
     Bias,
@@ -459,6 +459,39 @@ def test_no_duplicate_emissions_across_sizes(fixtures_dir):
         emitted = [h for size in range(2, max_size + 1) for h in _drain(gen, size)]
         assert emitted, name
         assert len(emitted) == len(set(emitted)), name
+
+
+def _baseless(h) -> bool:
+    """Whether every rule of h has a body literal of its head predicate."""
+    return all(any(lit.pred_key == r.head.pred_key for lit in r.body) for r in h)
+
+
+def test_generator_skips_exactly_the_candidates_with_no_base_rule():
+    # two generators over empty stores, one told the background holds
+    # target facts and one told it holds none: the second offers the
+    # first's stream less the candidates with no base rule, each of which
+    # covers what the background alone covers
+    tasks = [(mt.task, mt.search_size)
+             for mt in (random_task(seed, recursion=True) for seed in range(1, 51))]
+    tasks.append((chain_task(1), 5))
+    skipped_total = multi_rule = 0
+    for task, max_size in tasks:
+        tester = CoverageTester(task.bk, task.pos, task.neg)
+        assert not tester.model.tuples(task.bias.head), task.name
+        full_gen = HypothesisGenerator(task.bias, ConstraintStore())
+        cut_gen = HypothesisGenerator(task.bias, ConstraintStore())
+        cut_gen.target_in_background = False
+        for size in range(2, max_size + 1):
+            full, cut = _drain(full_gen, size), _drain(cut_gen, size)
+            assert cut == [h for h in full if not _baseless(h)], (task.name, size)
+            for h in full:
+                if _baseless(h):
+                    assert tester.masks(h) == (tester.base_pos, tester.base_neg), set(h)
+                    skipped_total += 1
+                    multi_rule += len(h) > 1
+        assert cut_gen.baseless == full_gen.considered - cut_gen.considered, task.name
+        assert full_gen.baseless == 0
+    assert skipped_total > 0 and multi_rule > 0
 
 
 def test_empty_store_stratum_is_the_oracle_stratum(fixtures_dir):

@@ -372,6 +372,10 @@ def test_empty_hypothesis_is_scored_on_what_the_background_covers():
     result = learn(task)
     assert render_hypothesis(result.best) == "f(A) :- p(A)."
     assert result.best_score == CostScore(2, 2)
+    # a background with target facts: no candidate is skipped for having
+    # no base rule
+    s = result.stats
+    assert (s.generated, s.considered, s.baseless) == (3, 3, 0)
     assert oracle_optimal(task, 2)[0] == CostScore(2, 2)
     # when the background alone classifies every example, nothing is tested
     task = parse_task_strings(bias, "f(1). p(3).", "pos(f(1)). neg(f(3)).")
@@ -380,6 +384,25 @@ def test_empty_hypothesis_is_scored_on_what_the_background_covers():
     assert result.termination == PERFECT
     assert result.stats.tested == 0
     assert oracle_optimal(task, 2) == (CostScore(0, 0), {frozenset()})
+
+
+def test_recursive_one_rule_bias_offers_no_recursive_candidate(monkeypatch):
+    # under max_rules(1) a recursive hypothesis is one rule with a target
+    # literal in its body: with no target fact in the background it can
+    # derive nothing, and the generator offers none
+    task = parse_task_strings(
+        """head_pred(reach,1). body_pred(start,1). body_pred(edge,2).
+           max_vars(2). max_body(2). max_rules(1). enable_recursion.""",
+        "start(1). edge(1,2). edge(2,3). edge(3,4). edge(9,9).",
+        "pos(reach(1)). pos(reach(2)). neg(reach(9)). neg(reach(5)).")
+    emitted, _ = _emitted(monkeypatch, task, LearnConfig(noisy=True))
+    assert emitted and not any(map(CoverageTester._is_recursive, emitted))
+    # a generator that is not told offers them
+    gen, offered = HypothesisGenerator(task.bias, ConstraintStore()), []
+    for size in range(2, task.bias.max_size + 1):
+        while (h := gen.next_hypothesis(size)) is not None:
+            offered.append(h)
+    assert any(map(CoverageTester._is_recursive, offered))
 
 
 def test_learn_stats_are_consistent(intro_task):
@@ -447,12 +470,14 @@ def test_fixture_counters_are_pinned(fixture_runs, name):
 
 
 # per task of the benchmark's recursive-chain workload, seed 1: generated,
-# tested, the reducible and indiscriminate evidence, and the stored
-# specialisation, generalisation and pointless constraints
+# tested, considered, the candidates skipped for having no base rule (the
+# background holds no reach fact), the reducible and indiscriminate
+# evidence, and the stored specialisation, generalisation and pointless
+# constraints
 CHAIN_COUNTERS = {
-    "chain0_n120": (190, 190, 27, 0, 189, 23, 21),
-    "chain1_n160": (192, 192, 27, 0, 191, 14, 21),
-    "chain2_n200": (190, 190, 27, 0, 188, 26, 21),
+    "chain0_n120": (124, 124, 306, 163, 27, 0, 123, 23, 21),
+    "chain1_n160": (126, 126, 306, 163, 27, 0, 125, 14, 21),
+    "chain2_n200": (124, 124, 306, 163, 27, 0, 122, 26, 21),
 }
 
 
@@ -475,7 +500,7 @@ def test_recursive_chain_counters_are_pinned():
         result = learn(task)
         s = result.stats
         assert result.best_score == (0, 5), spec.name
-        got[spec.name] = (s.generated, s.tested,
+        got[spec.name] = (s.generated, s.tested, s.considered, s.baseless,
                           s.evidence["reducible"], s.evidence["indiscriminate"],
                           s.constraints["specialisation"], s.constraints["generalisation"],
                           s.constraints["pointless-super-rule"])
@@ -697,6 +722,34 @@ def test_noisy_micro_suite_matches_oracle_with_clean_audit():
         blocked += len(result.audit_records)
         multi_rule += task.bias.max_rules > 1
     assert blocked > 0 and multi_rule > 0
+
+
+def test_noiseless_run_says_when_its_assumption_broke():
+    # flipped micro seeds 101-140 in noiseless mode: a run that exhausts
+    # the space with errors left had no zero-error hypothesis to find, so
+    # its failure constraints may have cut the optimum; every run that
+    # misses the oracle's optimum is among them, and every other run stops
+    # at a perfect hypothesis
+    from razor.oracle import oracle_optimal
+
+    violated, worse = [], []
+    for seed in range(101, 141):
+        mt = random_task(seed)
+        task = _flip_labels(mt.task, seed)
+        result = learn(task, LearnConfig(max_size=mt.search_size))
+        if not result.stats.noiseless_violated:
+            assert result.termination == PERFECT, seed
+            continue
+        assert result.termination == EXHAUSTED and result.best_score.errors > 0, seed
+        violated.append(seed)
+        if result.best_score > oracle_optimal(task, mt.search_size)[0]:
+            worse.append(seed)
+    assert len(violated) == 29
+    assert worse == [108, 128, 130, 138]
+    # noisy mode makes no assumption to break
+    mt = random_task(108)
+    noisy = learn(_flip_labels(mt.task, 108), LearnConfig(max_size=mt.search_size, noisy=True))
+    assert noisy.termination == EXHAUSTED and not noisy.stats.noiseless_violated
 
 
 def test_learn_ablation_modes_agree_on_score(trains_task):
