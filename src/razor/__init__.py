@@ -50,7 +50,6 @@ from .search import (
     LearnResult,
     Stats,
     learn,
-    verify_audit,
 )
 from .taskio import (
     Task,
@@ -64,6 +63,16 @@ from .taskio import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the audit re-check runs on the slow references, which import razor
+    # does not load
+    if name == "verify_audit":
+        from .reference import verify_audit
+        return verify_audit
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AuditRecord", "Bias", "BiasError", "Const", "Constraint",

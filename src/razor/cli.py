@@ -17,7 +17,7 @@ from .datalog import least_model
 from .logic import canonicalize_hypothesis
 from .oracle import DEFAULT_CEILING, OracleCeilingError, oracle_optimal
 from .pointless import DetectMode, Detector, find_pointless
-from .search import LearnConfig, TIMEOUT, learn, verify_audit
+from .search import LearnConfig, TIMEOUT, learn
 from .taskio import (
     TaskError,
     parse_rules,
@@ -126,12 +126,15 @@ def _cmd_learn(args) -> int:
               "so the failure constraints may have pruned the optimum (try --noisy)")
 
     if config.audit:
+        from .reference import verify_audit  # not loaded unless audited
+
         problems = verify_audit(task, result)
         for p in problems:
             print(f"AUDIT VIOLATION: {p}", file=sys.stderr)
         if problems:
             return EXIT_INTERNAL
-        print(f"audit: {len(result.audit_records)} pruned candidates verified")
+        print(f"audit: {len(result.audit_records)} pruned candidates and "
+              f"{len(result.ban_records)} bans verified")
     return EXIT_OK
 
 

@@ -14,6 +14,8 @@ from itertools import chain, combinations, groupby, permutations, product
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
+from .bans import Ban, background_bans
+from .datalog import FactStore
 from .deadline import DeadlineExceeded, check_deadline
 from .logic import (
     Const,
@@ -30,7 +32,7 @@ from .logic import (
     renamed_subrule,
     var_name,
 )
-from .pointless import PointlessEvidence
+from .pointless import DetectMode, PointlessEvidence
 
 PredKey = tuple[str, int]
 
@@ -391,8 +393,9 @@ def rule_groups(size: int, max_rules: int) -> Iterator[tuple[tuple[int, int], ..
 
 # A choice is a literal the choice table allows next, as a tuple of
 # integers: (abstract rank, concrete rank, rank bit, bitmask of its
-# variables, variables used after it, whether it names a new variable).
-_Choice = tuple[int, int, int, int, int, bool]
+# variables, variables used after it, whether it names a new variable,
+# rank set of the literals it must not meet).
+_Choice = tuple[int, int, int, int, int, bool, int]
 
 
 class _ChoiceTable(NamedTuple):
@@ -413,7 +416,10 @@ class _ChoiceTable(NamedTuple):
     holds, for each literal, its code with every variable that is not a
     head variable read as 0, and the (multiplier, variable) of each such
     argument: renaming those variables adds multiplier times new name
-    for each."""
+    for each.
+
+    A dead literal (see background_bans) is in no row, and a choice
+    carries the rank set of the literals it makes a banned pair with."""
 
     rows: list[list[_Choice]]  # per count of used variables, by abstract rank
     starts: list[list[int]]  # starts[u][a + 1]: the index of row u's first choice of abstract rank a or more
@@ -421,6 +427,7 @@ class _ChoiceTable(NamedTuple):
     kids: list[int]  # by concrete rank: the store's id of the head-anchored key
     renames: list[tuple[int, tuple[tuple[int, int], ...]]]  # by concrete rank
     bit_of: dict[int, int]  # a literal's code -> its rank bit
+    bans: list[Ban]
 
 
 def _is_canonical(body: tuple[_Choice, ...], own: int, table: _ChoiceTable,
@@ -487,13 +494,33 @@ class HypothesisGenerator:
     record; audit only decides whether a pointless rejection is recorded,
     so an audited run takes the same path as a plain one.
 
+    A generator given the background model (model, which no rule of the
+    head predicate may feed) prunes what that model alone decides; one
+    without enumerates the full space.
+
+    Background-only bans: unless mode is OFF, the choice table leaves out
+    every literal, pair of literals and, if mode.reducible, implied pair
+    that background_bans finds, so no rule holding one is assembled
+    (bans counts them, time_bans the seconds finding them).  In any
+    hypothesis H holding such a rule r, H without r (dead literal or
+    pair: r covers nothing) or with r minus the implied literal l in
+    place of r (r minus l is safe, connected and non-empty, since l's
+    variables are in the literal that implies it, and it covers what r
+    covers in every hypothesis, recursive ones included) covers the same
+    examples with fewer literals; it is in the space, or it is the empty
+    hypothesis, which is scored first.  A ban depends only on the
+    literals' pattern, so it holds for every renaming of r and canonical
+    selection is unchanged; and a specialisation or pointless constraint
+    from a hypothesis holding r would ban only rules holding a renamed
+    banned literal or pair, banned anyway.  Under audit the bans are
+    kept in ban_records.
+
     A base rule is one with no body literal of the head predicate.  When
-    target_in_background is False, set by a caller whose background holds
-    no fact of the head predicate before the first next_hypothesis, a
-    candidate with no base rule (every id flagged in the store's
-    target_body) is skipped before the constraint checks; baseless counts
-    the skipped candidates and considered does not.  Such a candidate h
-    cannot be optimal, and nothing it would teach the search matters:
+    the model holds no fact of the head predicate, a candidate with no
+    base rule (every id flagged in the store's target_body) is skipped
+    before the constraint checks; baseless counts the skipped candidates
+    and considered does not.  Such a candidate h cannot be optimal, and
+    nothing it would teach the search matters:
       - it derives nothing: in the first fixpoint round every rule of h
         needs a target fact and the background has none, so h covers
         exactly what the empty hypothesis covers, with more literals;
@@ -505,7 +532,6 @@ class HypothesisGenerator:
         they are baseless too; and h is recursive, so it gets no
         pointless detection.
     Every other candidate is offered, tested and constrained as before.
-    By default nothing is skipped.
 
     nodes_explored counts the bodies stratum assembly builds: every
     partial body it extends, the empty one included, and every complete
@@ -517,16 +543,19 @@ class HypothesisGenerator:
     pointless constraints."""
 
     def __init__(self, bias: Bias, store: ConstraintStore, audit: bool = False,
-                 deadline: Optional[float] = None):
+                 deadline: Optional[float] = None, model: Optional[FactStore] = None,
+                 mode: DetectMode = DetectMode.BOTH):
         self.bias = bias
         self.store = store
         self.audit = audit
         self.deadline = deadline
+        self.model = model
+        self.mode = mode
         self.nodes_explored = 0
         self.time_stratum = 0.0
         self.time_check = 0.0
         self.time_pointless_match = 0.0
-        self.target_in_background = True
+        self.time_bans = 0.0
         self.emitted = 0
         self.considered = 0
         self.baseless = 0
@@ -535,6 +564,14 @@ class HypothesisGenerator:
         self._strata: dict[int, list[Rule]] = {}
         self._stratum_ids: dict[int, list[int]] = {}
         self._streams: dict[int, Iterator[Hypothesis]] = {}
+
+    @property
+    def bans(self) -> int:
+        return len(self._table.bans) if self._table is not None else 0
+
+    @property
+    def ban_records(self) -> list[Ban]:
+        return self._table.bans if self.audit and self._table is not None else []
 
     # -- rule-level enumeration ------------------------------------------
 
@@ -550,7 +587,9 @@ class HypothesisGenerator:
         The literals' head-anchored keys are interned in sorted order: in a
         store that interned no other key first, a rule's sorted key ids
         then list its literal keys in sorted order, and its sub-keys, with
-        them its first pointless match, follow that order."""
+        them its first pointless match, follow that order.  With a model
+        and a mode other than OFF, the background-only bans are found
+        here, checking the deadline."""
         if self._table is not None:
             return self._table
         bias = self.bias
@@ -599,13 +638,20 @@ class HypothesisGenerator:
                 mult *= base
             renames.append((code, tuple(slots)))
             bit_of[code + sum(m * a for m, a in slots)] = 1 << (n - 1 - r)
+        conflict, bans = [0] * n, []
+        if self.model is not None and self.mode is not DetectMode.OFF:
+            t0 = time.perf_counter()
+            conflict, bans = background_bans(lits, self.model, bias.head,
+                                             self.mode.reducible, self.deadline)
+            self.time_bans += time.perf_counter() - t0
         table_rows = [sorted(((arank[abstract_key(lit)], crank[lit], 1 << (n - 1 - crank[lit]),
-                               mask, cur, cur > used) for lit, cur, mask in row),
+                               mask, cur, cur > used, conflict[crank[lit]])
+                              for lit, cur, mask in row if conflict[crank[lit]] != -1),
                              key=itemgetter(0))
                       for used, row in enumerate(rows)]
         starts = [[bisect_left(row, (a,)) for a in range(-1, len(arank))] for row in table_rows]
         self._table = _ChoiceTable(table_rows, starts, lits, [kid[lkey[l]] for l in lits],
-                                   renames, bit_of)
+                                   renames, bit_of, bans)
         return self._table
 
     def _assemble(self, rule_size: int) -> list[tuple[Rule, tuple[int, ...]]]:
@@ -625,9 +671,11 @@ class HypothesisGenerator:
         group (literals of equal abstract rank) names a new variable and
         each run of tied literals that name none is in concrete order; only
         the remaining bodies are tested against their renamings
-        (_is_canonical), and kept once.  Within a stratum a larger rank set
-        orders rules as a smaller sorted tuple of concrete ranks, which is
-        how rule_sort_key orders them."""
+        (_is_canonical), and kept once.  A choice whose banned rank set
+        meets the body's is skipped, so no body holding a banned pair is
+        built; its renamings are banned alike.  Within a stratum a larger
+        rank set orders rules as a smaller sorted tuple of concrete ranks,
+        which is how rule_sort_key orders them."""
         bias = self.bias
         body_size = rule_size - 1
         if body_size < 1 or body_size > bias.max_body:
@@ -653,12 +701,14 @@ class HypothesisGenerator:
             check_deadline(deadline)
             self.nodes_explored += 1
             if body:
-                arank0, crank0, _, _, _, binds0 = body[-1]
+                arank0, crank0, _, _, _, binds0, _ = body[-1]
             else:
                 arank0, crank0, binds0 = -1, -1, False
             if len(body) + 1 < body_size:
                 for c in rows[used][starts[used][arank0 + 1]:]:
-                    arank, crank, rbit, mask, cur, binds = c
+                    arank, crank, rbit, mask, cur, binds, banned = c
+                    if bits & banned:
+                        continue
                     ambiguous = tied
                     if arank == arank0:
                         if not binds and (bits & rbit or not binds0 and crank < crank0):
@@ -685,7 +735,9 @@ class HypothesisGenerator:
                     c for c in rows[used] if not missing & ~c[3]
                     and (all(map(c[3].__and__, comps)) if c[3] else len(comps) <= 1)]
             for c in fits[bisect_left(fits, (arank0,)):]:
-                arank, crank, rbit, _, _, binds = c
+                arank, crank, rbit, _, _, binds, banned = c
+                if bits & banned:
+                    continue
                 ambiguous = tied
                 if arank == arank0:
                     if not binds and (bits & rbit or not binds0 and crank < crank0):
@@ -758,7 +810,8 @@ class HypothesisGenerator:
         return False
 
     def _stream(self, size: int) -> Iterator[Hypothesis]:
-        skip = not self.target_in_background and self.bias.recursion
+        skip = (self.bias.recursion and self.model is not None
+                and not self.model.tuples(self.bias.head))
         target_body = self.store.target_body
         for ids in self._candidates(size):
             check_deadline(self.deadline)

@@ -2,10 +2,12 @@
 naive least model, whole-model coverage, refutation-first implication,
 the enumeration of satisfying substitutions, the coverage-equality
 indiscriminate test, pointless detection without a coverage gate or a
-memo, the per-constraint violation test and sub-hypothesis.  The tests
+memo, the per-constraint violation test and sub-hypothesis, and
+``verify_audit``, which re-checks an audited run on them.  The tests
 check the fast queries of ``razor.datalog``, the ``ConstraintStore``
 index and ``pointless.Detector`` against them; nothing on the learner's
-path imports this module."""
+path imports this module, and ``razor.verify_audit`` loads it on first
+use."""
 
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from .logic import (Const, Hypothesis, Literal, Rule, Substitution, apply_subst,
                     renamed_subrule, rule_sort_key, subrule)
 from .pointless import (DetectMode, PointlessEvidence, PointlessKind, _captured_literals,
                         is_indiscriminate_direct, is_reducible, reduce_rule)
+from .search import CoverageTester, LearnResult
 
 
 def least_model_naive(program: Iterable[Rule]) -> FactStore:
@@ -213,3 +216,40 @@ def violates(h: Hypothesis, c: Constraint) -> bool:
     if c.kind is ConstraintKind.POINTLESS_SUPER_RULE:
         return any(is_basic(r, h) and _pointless_match(c, r) is not None for r in h)
     raise ValueError(f"unknown constraint kind {c.kind!r}")
+
+
+def verify_audit(task, result: LearnResult) -> list[str]:
+    """Re-test every audited rejection: the blocked hypothesis must score
+    strictly worse than its reduced variant, and no better than the final
+    optimum.  Re-check every ban on the reference implementations: a dead
+    literal or pair has no solution over the background model, and an
+    implied pair's first literal holds the second's variables and implies
+    it; neither names the target predicate.  Returns human-readable
+    descriptions of any violations."""
+    problems: list[str] = []
+    tester = CoverageTester(task.bk, task.pos, task.neg)
+    for ban in result.ban_records:
+        lits = ban.literals
+        if ban.kind == "implied-pair":
+            a, l = lits
+            holds = l.vars() <= a.vars() and implies_by_refutation(
+                tester.model, [a], l, list(task.constant_domain))
+        else:
+            holds = next(satisfying_substitutions(tester.model, lits), None) is None
+        if not holds or any(l.pred_key == task.bias.head for l in lits):
+            problems.append(f"banned {ban.kind} {list(lits)} does not hold")
+    for rec in result.audit_records:
+        blocked = tester.score(rec.hypothesis)
+        reduced_h = (rec.hypothesis - {rec.rule}) | {rec.reduced_rule}
+        reduced = tester.score(reduced_h)
+        if not blocked > reduced:
+            problems.append(
+                f"blocked {set(rec.hypothesis)} scored {blocked}, "
+                f"not worse than reduced variant {set(reduced_h)} at {reduced}"
+            )
+        if result.best_score is not None and blocked < result.best_score:
+            problems.append(
+                f"blocked {set(rec.hypothesis)} scored {blocked}, "
+                f"better than the returned optimum {result.best_score}"
+            )
+    return problems

@@ -12,6 +12,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
+from .bans import Ban
 from .datalog import CoveragePack, FactStore, PredKey, covers_rule, least_model
 from .deadline import DeadlineExceeded
 from .generate import (
@@ -59,6 +60,7 @@ class Stats:
     # them; generated of them passed
     considered: int = 0
     baseless: int = 0  # candidates skipped unchecked: no base rule, no target fact in the background
+    bans: int = 0  # literals and pairs the background model bans from every rule body
     tested: int = 0
     nodes_explored: int = 0
     constraints: dict = field(default_factory=dict)
@@ -77,6 +79,7 @@ class Stats:
     time_stratum: float = 0.0  # rule-stratum assembly in the generator
     time_pointless_match: float = 0.0  # pointless-constraint matching in the generator
     time_check: float = 0.0  # specialisation/generalisation checks in the generator
+    time_bans: float = 0.0  # finding the bans, a part of time_stratum
 
     def to_dict(self) -> dict:
         """The fields plus `overhead_fraction`, detection time over total
@@ -98,6 +101,7 @@ class LearnResult:
     stats: Stats
     evidence: list[PointlessEvidence] = field(default_factory=list)
     audit_records: list[AuditRecord] = field(default_factory=list)
+    ban_records: list[Ban] = field(default_factory=list)
 
 
 class CoverageTester:
@@ -300,9 +304,13 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
     runs behind a coverage gate and keeps each rule's findings for the run
     (pointless.Detector, fed by CoverageTester.detection_masks); its
     findings are those of the ungated reference.find_pointless_ungated.
-    When the background model holds no fact of the target, the generator
-    skips every candidate with no base rule, which derives nothing (see
-    HypothesisGenerator; counted in baseless)."""
+    The generator gets the background model: when it holds no fact of
+    the target, the generator skips every candidate with no base rule,
+    which derives nothing (counted in baseless), and unless pruning is
+    off it never assembles a rule holding a literal or pair the model
+    bans (counted in bans; see HypothesisGenerator).  A recursive
+    hypothesis has no basic rule (one target predicate), so detection
+    skips it."""
     config = config or LearnConfig()
     bias = task.bias
     max_size = config.max_size if config.max_size is not None else bias.max_size
@@ -314,7 +322,7 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
     stats = Stats()
 
     store = ConstraintStore()
-    gen = HypothesisGenerator(bias, store, audit=config.audit, deadline=deadline)
+    gen: Optional[HypothesisGenerator] = None
     domain = list(task.constant_domain)
 
     best: Optional[Hypothesis] = frozenset()
@@ -325,6 +333,10 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
     detector: Optional[Detector] = None
 
     def finish() -> LearnResult:
+        stats.constraints = store.counts()
+        if gen is None:  # building the background model ran past the deadline
+            stats.time_total = time.perf_counter() - t_start
+            return LearnResult(None, None, TIMEOUT, stats)
         stats.generated = gen.emitted
         stats.considered = gen.considered
         stats.baseless = gen.baseless
@@ -332,26 +344,26 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
         stats.time_stratum = gen.time_stratum
         stats.time_pointless_match = gen.time_pointless_match
         stats.time_check = gen.time_check
-        stats.constraints = store.counts()
-        if tester is not None:
-            stats.coverage_extensions = tester.coverage_extensions
-        if detector is not None:
-            stats.detect_cached = detector.cached
-            stats.detect_mask_settled = detector.mask_settled
+        stats.bans = gen.bans
+        stats.time_bans = gen.time_bans
+        stats.coverage_extensions = tester.coverage_extensions
+        stats.detect_cached = detector.cached
+        stats.detect_mask_settled = detector.mask_settled
         stats.noiseless_violated = (not config.noisy and termination == EXHAUSTED
                                     and best_score.errors > 0)
         stats.time_total = time.perf_counter() - t_start
         if termination == TIMEOUT and stats.tested == 0:
             return LearnResult(None, None, TIMEOUT, stats,
-                               evidence_log, gen.audit_records)
+                               evidence_log, gen.audit_records, gen.ban_records)
         return LearnResult(best, best_score, termination, stats,
-                           evidence_log, gen.audit_records)
+                           evidence_log, gen.audit_records, gen.ban_records)
 
     try:
         tester = CoverageTester(task.bk, task.pos, task.neg, deadline)
         detector = Detector(tester.model, tester.neg, domain, config.pointless,
                             tester.detection_masks)
-        gen.target_in_background = bool(tester.model.tuples(bias.head))
+        gen = HypothesisGenerator(bias, store, audit=config.audit, deadline=deadline,
+                                  model=tester.model, mode=config.pointless)
         # under enable_recursion the background may hold facts of the
         # target, so the empty hypothesis can cover examples
         best_score = tester.score(best)
@@ -392,6 +404,8 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
                 if detection_is_futile(h, bias.max_rules, bias.max_body, max_size):
                     stats.detect_futile += 1
                     continue
+                if bias.recursion and CoverageTester._is_recursive(h):
+                    continue
                 t0 = time.perf_counter()
                 found = find_pointless(h, detector=detector, deadline=deadline)
                 stats.time_detection += time.perf_counter() - t0
@@ -406,25 +420,3 @@ def learn(task, config: Optional[LearnConfig] = None) -> LearnResult:
         termination = TIMEOUT
     return finish()
 
-
-def verify_audit(task, result: LearnResult) -> list[str]:
-    """Re-test every audited rejection: the blocked hypothesis must score
-    strictly worse than its reduced variant, and no better than the final
-    optimum.  Returns human-readable descriptions of any violations."""
-    problems: list[str] = []
-    tester = CoverageTester(task.bk, task.pos, task.neg)
-    for rec in result.audit_records:
-        blocked = tester.score(rec.hypothesis)
-        reduced_h = (rec.hypothesis - {rec.rule}) | {rec.reduced_rule}
-        reduced = tester.score(reduced_h)
-        if not blocked > reduced:
-            problems.append(
-                f"blocked {set(rec.hypothesis)} scored {blocked}, "
-                f"not worse than reduced variant {set(reduced_h)} at {reduced}"
-            )
-        if result.best_score is not None and blocked < result.best_score:
-            problems.append(
-                f"blocked {set(rec.hypothesis)} scored {blocked}, "
-                f"better than the returned optimum {result.best_score}"
-            )
-    return problems

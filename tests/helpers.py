@@ -3,8 +3,11 @@ used to cross-check the implementation."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from itertools import permutations, product
+from pathlib import Path
 from typing import Iterable, Iterator
 
 from razor import Const, Literal, Rule, Var, learn, least_model, search
@@ -163,6 +166,20 @@ max_body(2).
 max_rules(2).
 enable_recursion.
 """
+
+
+def bench_chain_tasks(seed: int) -> list:
+    """The tasks of the benchmark's recursive-chain workload for a seed,
+    parsed, from the benchmark's own task builder (loaded by path and
+    only read)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return [parse_task_strings(t.files["bias.pl"], t.files["bk.pl"], t.files["exs.pl"],
+                              name=t.name)
+            for t in module.recursive_chain(None, seed, None).tasks]
 
 
 def chain_task(seed: int):

@@ -44,10 +44,12 @@ def test_learn_writes_versioned_stats(capsys, fixtures_dir, tmp_path):
                   "constraints",
                   "evidence", "detect_subsumed", "detect_futile", "detect_cached",
                   "detect_mask_settled", "coverage_extensions", "baseless",
-                  "noiseless_violated", "overhead_fraction", "pruning_overhead_fraction"):
+                  "noiseless_violated", "bans", "time_bans", "overhead_fraction",
+                  "pruning_overhead_fraction"):
         assert field in record["stats"]
     assert record["stats"]["coverage_extensions"] > 0
     assert record["stats"]["noiseless_violated"] is False
+    assert record["stats"]["bans"] == 93
 
 
 def test_learn_says_when_the_noiseless_assumption_broke(capsys, tmp_path):
@@ -79,7 +81,7 @@ def test_learn_audit_flag(capsys, fixtures_dir):
     code, out, _ = run_cli("learn", str(fixtures_dir / "trains_mini"),
                            "--audit", capsys=capsys)
     assert code == 0
-    assert "audit:" in out
+    assert "audit: 0 pruned candidates and 93 bans verified" in out
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

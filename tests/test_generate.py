@@ -1,9 +1,11 @@
 import dataclasses
 import random
+from itertools import combinations
 
 import pytest
 
-from helpers import chain_task, hypothesis_key, parse_hypothesis, parse_rule, rule_ids
+from helpers import (bench_chain_tasks, chain_task, hypothesis_key, parse_hypothesis,
+                     parse_rule, rule_ids)
 
 from razor import (
     Bias,
@@ -22,7 +24,7 @@ from razor import (
 )
 from razor import generate
 from razor.generate import DeadlineExceeded
-from razor.reference import violates
+from razor.reference import implies_by_refutation, satisfying_substitutions, violates
 from razor.logic import (
     Rule,
     canonicalize,
@@ -467,10 +469,10 @@ def _baseless(h) -> bool:
 
 
 def test_generator_skips_exactly_the_candidates_with_no_base_rule():
-    # two generators over empty stores, one told the background holds
-    # target facts and one told it holds none: the second offers the
-    # first's stream less the candidates with no base rule, each of which
-    # covers what the background alone covers
+    # two generators over empty stores, one without the background model
+    # and one given it (which holds no target fact) and building no bans:
+    # the second offers the first's stream less the candidates with no
+    # base rule, each of which covers what the background alone covers
     tasks = [(mt.task, mt.search_size)
              for mt in (random_task(seed, recursion=True) for seed in range(1, 51))]
     tasks.append((chain_task(1), 5))
@@ -479,8 +481,8 @@ def test_generator_skips_exactly_the_candidates_with_no_base_rule():
         tester = CoverageTester(task.bk, task.pos, task.neg)
         assert not tester.model.tuples(task.bias.head), task.name
         full_gen = HypothesisGenerator(task.bias, ConstraintStore())
-        cut_gen = HypothesisGenerator(task.bias, ConstraintStore())
-        cut_gen.target_in_background = False
+        cut_gen = HypothesisGenerator(task.bias, ConstraintStore(), model=tester.model,
+                                      mode=DetectMode.OFF)
         for size in range(2, max_size + 1):
             full, cut = _drain(full_gen, size), _drain(cut_gen, size)
             assert cut == [h for h in full if not _baseless(h)], (task.name, size)
@@ -492,6 +494,97 @@ def test_generator_skips_exactly_the_candidates_with_no_base_rule():
         assert cut_gen.baseless == full_gen.considered - cut_gen.considered, task.name
         assert full_gen.baseless == 0
     assert skipped_total > 0 and multi_rule > 0
+
+
+def _reference_bans(task, model, lits) -> dict[frozenset, tuple]:
+    """Every ban over the table's literals, straight from the reference
+    implementations: a literal of a background predicate with no solution,
+    a pair of live ones with no joint solution, and a pair (a, l) with
+    vars(l) within vars(a) and a implying l; each keyed by its literal set
+    and given as (kind, literals)."""
+    def dead(*body):
+        return next(satisfying_substitutions(model, body), None) is None
+
+    def implied(a, l):
+        return l.vars() <= a.vars() and implies_by_refutation(
+            model, [a], l, list(task.constant_domain))
+
+    lits = [lit for lit in lits if lit.pred_key != task.bias.head]
+    out = {frozenset([lit]): ("dead-literal", (lit,)) for lit in lits if dead(lit)}
+    live = [lit for lit in lits if frozenset([lit]) not in out]
+    for a, b in combinations(live, 2):
+        if dead(a, b):
+            out[frozenset([a, b])] = ("dead-pair", (a, b))
+        elif implied(a, b):
+            out[frozenset([a, b])] = ("implied-pair", (a, b))
+        elif implied(b, a):
+            out[frozenset([a, b])] = ("implied-pair", (b, a))
+    return out
+
+
+@pytest.fixture(scope="module")
+def banned_tasks(fixtures_dir):
+    """Per task (the four fixtures, the benchmark's recursive-chain tasks
+    of seed 1, micro seeds 1-12 and recursive micro seeds 1-4): the task,
+    a generator given its background model and the reference bans."""
+    tasks = [parse_task(fixtures_dir / name) for name in
+             ("intro", "transitive_gt", "eight_puzzle_mini", "trains_mini")]
+    tasks += bench_chain_tasks(1)
+    tasks += [random_task(seed).task for seed in range(1, 13)]
+    tasks += [random_task(seed, recursion=True).task for seed in range(1, 5)]
+    out = []
+    for task in tasks:
+        model = CoverageTester(task.bk, task.pos, task.neg).model
+        gen = HypothesisGenerator(task.bias, ConstraintStore(), audit=True, model=model)
+        out.append((task, gen, _reference_bans(task, model, gen._choice_table().lits)))
+    return out
+
+
+def test_ban_table_is_exact(banned_tasks):
+    # a table literal is dead, and a pair of table literals banned, iff the
+    # reference says so; the table's ban list names each once, with its
+    # kind; without the reducible mode the implied pairs go and nothing
+    # else moves
+    kinds = set()
+    for task, gen, expected in banned_tasks:
+        table = gen._choice_table()
+        n = len(table.lits)
+        choices = {c[1]: c for row in table.rows for c in row}
+        got = {frozenset([lit]) for r, lit in enumerate(table.lits) if r not in choices}
+        for r, s in combinations(sorted(choices), 2):
+            banned = choices[r][6] >> (n - 1 - s) & 1
+            assert banned == choices[s][6] >> (n - 1 - r) & 1
+            if banned:
+                got.add(frozenset([table.lits[r], table.lits[s]]))
+        assert got == set(expected), task.name
+        assert {frozenset(ban.literals): (ban.kind, ban.literals) for ban in gen.ban_records} \
+            == expected and len(gen.ban_records) == gen.bans == len(expected), task.name
+        kinds |= {kind for kind, _ in expected.values()}
+        no_implied, off = (HypothesisGenerator(task.bias, ConstraintStore(), audit=True,
+                                               model=gen.model, mode=mode)
+                           for mode in (DetectMode.INDISCRIMINATE_ONLY, DetectMode.OFF))
+        no_implied.rule_stratum(2)
+        off.rule_stratum(2)
+        assert no_implied.ban_records == [
+            ban for ban in gen.ban_records if ban.kind != "implied-pair"], task.name
+        assert off.bans == 0 and off.ban_records == []
+    assert kinds == {"dead-literal", "dead-pair", "implied-pair"}
+
+
+def test_banned_stratum_is_the_full_stratum_less_the_banned_rules(banned_tasks):
+    # for every rule size, the generator given the model assembles the
+    # stratum of one without it, in the same order, less the rules holding
+    # a banned literal or pair
+    cut = 0
+    for task, gen, expected in banned_tasks:
+        full = HypothesisGenerator(task.bias, ConstraintStore())
+        for rule_size in range(2, task.bias.max_body + 2):
+            kept = [rule for rule in full.rule_stratum(rule_size)
+                    if not any(frozenset(sub) in expected
+                               for k in (1, 2) for sub in combinations(rule.body, k))]
+            assert gen.rule_stratum(rule_size) == kept, (task.name, rule_size)
+            cut += len(full.rule_stratum(rule_size)) - len(kept)
+    assert cut > 0
 
 
 def test_empty_store_stratum_is_the_oracle_stratum(fixtures_dir):
@@ -544,12 +637,16 @@ def test_stratum_matches_oracle_enumeration():
 
 
 def test_deadline_never_leaves_a_partial_stratum(intro_task):
-    fresh = HypothesisGenerator(intro_task.bias, ConstraintStore())
-    gen = HypothesisGenerator(intro_task.bias, ConstraintStore(), deadline=0.0)
-    with pytest.raises(DeadlineExceeded):
-        gen.next_hypothesis(3)
-    gen.deadline = None
-    assert _drain(gen, 3) == _drain(fresh, 3)
+    # nor a partial ban table: a generator given the model finds its bans
+    # while building the table, and checks the deadline there
+    for model in (None, least_model(intro_task.bk)):
+        fresh = HypothesisGenerator(intro_task.bias, ConstraintStore(), model=model)
+        gen = HypothesisGenerator(intro_task.bias, ConstraintStore(), deadline=0.0, model=model)
+        with pytest.raises(DeadlineExceeded):
+            gen.next_hypothesis(3)
+        gen.deadline = None
+        assert _drain(gen, 3) == _drain(fresh, 3)
+        assert gen.bans == fresh.bans == (90 if model else 0)
 
 
 def test_deadline_fires_before_any_candidate_is_matched(intro_task, monkeypatch):

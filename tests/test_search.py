@@ -1,15 +1,12 @@
 import dataclasses
 import gc
-import importlib.util
 import random
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
-from helpers import (chain_task, checked_learn, ground, parse_hypothesis, parse_rule,
-                     random_goal_program, rule_ids)
+from helpers import (bench_chain_tasks, chain_task, checked_learn, ground, lit,
+                     parse_hypothesis, parse_rule, random_goal_program, rule_ids)
 
 from razor import (
     Const,
@@ -17,6 +14,7 @@ from razor import (
     DetectMode,
     Detector,
     LearnConfig,
+    LearnResult,
     find_pointless,
     learn,
     least_model,
@@ -24,7 +22,7 @@ from razor import (
     render_hypothesis,
     verify_audit,
 )
-from razor import search
+from razor import generate, search
 from razor.deadline import DeadlineExceeded
 from razor.generate import ConstraintStore, HypothesisGenerator
 from razor.search import EXHAUSTED, PERFECT, TIMEOUT, build_cons, CoverageTester
@@ -194,8 +192,7 @@ def test_closure_fixpoint_is_cut_to_the_examples_values(monkeypatch):
     # closure passes its second argument through, and only the facts
     # whose second argument is an example's are derived; the reversed
     # closure passes nothing through and derives the whole relation
-    spec = _load_workloads().recursive_chain(None, 1, None).tasks[2]
-    task = parse_task_strings(spec.files["bias.pl"], spec.files["bk.pl"], spec.files["exs.pl"])
+    task = bench_chain_tasks(1)[2]
     tester = CoverageTester(task.bk, task.pos, task.neg)
     closure = parse_hypothesis("reach(A,B) :- edge(A,B). reach(A,B) :- edge(A,C), reach(C,B).")
     reversed_closure = parse_hypothesis(
@@ -436,20 +433,22 @@ def test_learn_is_deterministic(intro_task):
     assert [repr(e) for e in r1.evidence] == [repr(e) for e in r2.evidence]
 
 
-# per fixture under the default config: generated, tested, nodes explored
-# (bodies built by stratum assembly, see HypothesisGenerator),
+# per fixture under the default config: generated, tested, considered,
+# nodes explored (bodies built by stratum assembly, see
+# HypothesisGenerator), the literals and pairs the background model bans,
 # the returned hypothesis, the stored specialisation and generalisation
 # constraints (none of the latter: every fixture has one rule per
 # hypothesis), the reducible and indiscriminate evidence and the stored
 # pointless constraints.  A speed-up that loses pruning moves one of them.
 FIXTURE_COUNTERS = {
-    "intro": (261, 261, 2717, "f(A) :- gt(A,3), lt(A,8), odd(A).", 21, 0, 11, 5, 16),
-    "transitive_gt": (242, 242, 1966, "f(A) :- gt(A,B), gt(B,C), gt(C,D).", 25, 0, 17, 0, 17),
-    "eight_puzzle_mini": (693, 693, 3075,
+    "intro": (234, 234, 334, 1280, 90, "f(A) :- gt(A,3), lt(A,8), odd(A).", 3, 0, 0, 5, 5),
+    "transitive_gt": (159, 159, 245, 840, 250, "f(A) :- gt(A,B), gt(B,C), gt(C,D).",
+                      4, 0, 4, 0, 4),
+    "eight_puzzle_mini": (513, 513, 705, 2295, 150,
                           "legal_move(A,B,C,D) :- adjacent(C,D), role(B), state(A).",
-                          692, 0, 0, 0, 0),
-    "trains_mini": (23, 23, 863, "eastbound(A) :- closed(B), has_car(A,B), short(B).",
-                    13, 0, 1, 1, 2),
+                          512, 0, 0, 0, 0),
+    "trains_mini": (17, 17, 32, 210, 93, "eastbound(A) :- closed(B), has_car(A,B), short(B).",
+                    8, 0, 0, 1, 1),
 }
 
 
@@ -462,7 +461,8 @@ def fixture_runs(fixtures_dir):
 def test_fixture_counters_are_pinned(fixture_runs, name):
     result = fixture_runs[name]
     s = result.stats
-    got = (s.generated, s.tested, s.nodes_explored, render_hypothesis(result.best),
+    got = (s.generated, s.tested, s.considered, s.nodes_explored, s.bans,
+           render_hypothesis(result.best),
            s.constraints["specialisation"], s.constraints["generalisation"],
            s.evidence["reducible"], s.evidence["indiscriminate"],
            s.constraints["pointless-super-rule"])
@@ -471,36 +471,23 @@ def test_fixture_counters_are_pinned(fixture_runs, name):
 
 # per task of the benchmark's recursive-chain workload, seed 1: generated,
 # tested, considered, the candidates skipped for having no base rule (the
-# background holds no reach fact), the reducible and indiscriminate
-# evidence, and the stored specialisation, generalisation and pointless
-# constraints
+# background holds no reach fact), the literals and pairs the background
+# model bans, the reducible and indiscriminate evidence, and the stored
+# specialisation, generalisation and pointless constraints
 CHAIN_COUNTERS = {
-    "chain0_n120": (124, 124, 306, 163, 27, 0, 123, 23, 21),
-    "chain1_n160": (126, 126, 306, 163, 27, 0, 125, 14, 21),
-    "chain2_n200": (124, 124, 306, 163, 27, 0, 122, 26, 21),
+    "chain0_n120": (61, 61, 187, 133, 30, 0, 0, 60, 23, 0),
+    "chain1_n160": (63, 63, 182, 133, 42, 0, 0, 62, 14, 0),
+    "chain2_n200": (61, 61, 188, 133, 27, 0, 0, 59, 26, 0),
 }
 
 
-def _load_workloads():
-    # the benchmark's task builder, loaded by path and only read
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_recursive_chain_counters_are_pinned():
-    workload = _load_workloads().recursive_chain(None, 1, None)
     got = {}
-    for spec in workload.tasks:
-        task = parse_task_strings(spec.files["bias.pl"], spec.files["bk.pl"],
-                                  spec.files["exs.pl"], name=spec.name)
+    for task in bench_chain_tasks(1):
         result = learn(task)
         s = result.stats
-        assert result.best_score == (0, 5), spec.name
-        got[spec.name] = (s.generated, s.tested, s.considered, s.baseless,
+        assert result.best_score == (0, 5), task.name
+        got[task.name] = (s.generated, s.tested, s.considered, s.baseless, s.bans,
                           s.evidence["reducible"], s.evidence["indiscriminate"],
                           s.constraints["specialisation"], s.constraints["generalisation"],
                           s.constraints["pointless-super-rule"])
@@ -603,18 +590,18 @@ def test_detection_is_skipped_when_a_specialisation_constraint_covers_it(
     # eight_puzzle_mini has one rule per hypothesis and every tested
     # hypothesis but the last misses a positive
     s = fixture_runs["eight_puzzle_mini"].stats
-    assert s.detect_subsumed == 692
+    assert s.detect_subsumed == 512
     assert s.evidence == {"reducible": 0, "indiscriminate": 0}
     assert s.constraints["pointless-super-rule"] == 0
     # the other fixtures' one-rule hypotheses that cover every positive
     # but a negative skip detection only where their rule has a full body
     assert {name: run.stats.detect_futile for name, run in fixture_runs.items()} == {
-        "intro": 153, "transitive_gt": 178, "eight_puzzle_mini": 0, "trains_mini": 2}
+        "intro": 153, "transitive_gt": 129, "eight_puzzle_mini": 0, "trains_mini": 2}
     # noisy mode stores no specialisation constraints, so detection runs
     # on every hypothesis whose rule can still grow
     noisy = learn(trains_task, LearnConfig(noisy=True)).stats
     assert noisy.detect_subsumed == 0
-    assert noisy.detect_futile == 33
+    assert noisy.detect_futile == 3
     assert noisy.detect_futile + sum(noisy.evidence.values()) <= noisy.tested
     assert sum(noisy.evidence.values()) == noisy.constraints["pointless-super-rule"] > 0
 
@@ -752,6 +739,33 @@ def test_noiseless_run_says_when_its_assumption_broke():
     assert noisy.termination == EXHAUSTED and not noisy.stats.noiseless_violated
 
 
+def _is_subsequence(short: list, long: list) -> bool:
+    rest = iter(long)
+    return all(item in rest for item in short)
+
+
+def test_bans_emit_a_subsequence_with_the_same_result(fixtures_dir, monkeypatch):
+    # the background-only bans only ever drop candidates: the run emits a
+    # subsequence of what the unbanned generator emits, and returns the
+    # same optimum, score and termination
+    tasks = [(parse_task(fixtures_dir / name), None) for name in FIXTURE_COUNTERS]
+    tasks += [(task, None) for task in bench_chain_tasks(1)]
+    tasks += [(mt.task, mt.search_size)
+              for mt in (random_task(seed, recursion=seed % 3 == 0) for seed in range(1, 41))]
+    dropped = 0
+    for task, max_size in tasks:
+        for noisy in (False, True):
+            config = LearnConfig(max_size=max_size, noisy=noisy)
+            banned, got = _emitted(monkeypatch, task, config)
+            full, want = _emitted(monkeypatch, task, config, bans=False)
+            assert _is_subsequence(banned, full), (task.name, noisy)
+            assert (got.best, got.best_score, got.termination) == \
+                (want.best, want.best_score, want.termination), (task.name, noisy)
+            assert want.stats.bans == 0
+            dropped += len(full) - len(banned)
+    assert dropped > 0
+
+
 def test_learn_ablation_modes_agree_on_score(trains_task):
     scores = set()
     for mode in DetectMode:
@@ -770,6 +784,23 @@ def test_audit_records_are_verified(intro_task):
     assert verify_audit(intro_task, result) == []
 
 
+def test_verify_audit_rechecks_every_ban(intro_task):
+    # intro's audited run records its bans, all of which hold; a ban that
+    # does not hold on the reference implementations is reported
+    from razor.generate import Ban
+
+    result = learn(intro_task, LearnConfig(audit=True))
+    assert {ban.kind for ban in result.ban_records} == {
+        "dead-literal", "dead-pair", "implied-pair"}
+    assert len(result.ban_records) == result.stats.bans == 90
+    assert learn(intro_task).ban_records == []
+    odd, gt, int_, f = lit("odd", "A"), lit("gt", "A", "B"), lit("int", "A"), lit("f", "A")
+    for wrong in (Ban("dead-literal", (odd,)), Ban("dead-pair", (odd, gt)),
+                  Ban("implied-pair", (int_, odd)), Ban("dead-literal", (f,))):
+        bad = dataclasses.replace(result, ban_records=[*result.ban_records, wrong])
+        assert len(verify_audit(intro_task, bad)) == 1, wrong
+
+
 def test_audit_mode_does_not_change_the_search(intro_task):
     plain = learn(intro_task)
     audited = learn(intro_task, LearnConfig(audit=True))
@@ -779,9 +810,10 @@ def test_audit_mode_does_not_change_the_search(intro_task):
     assert audited.stats.tested == plain.stats.tested
 
 
-def _emitted(monkeypatch, task, config) -> tuple[list, int]:
+def _emitted(monkeypatch, task, config, bans=True) -> tuple[list, LearnResult]:
     """Every hypothesis the generator emits during one learn run, in
-    order, and the run's count of considered candidates."""
+    order, and the run's result; with bans=False the generator builds no
+    background-only bans."""
     emitted = []
     real = HypothesisGenerator.next_hypothesis
 
@@ -792,9 +824,11 @@ def _emitted(monkeypatch, task, config) -> tuple[list, int]:
         return h
 
     monkeypatch.setattr(HypothesisGenerator, "next_hypothesis", recording)
+    if not bans:
+        monkeypatch.setattr(generate, "background_bans", lambda lits, *_: ([0] * len(lits), []))
     result = learn(task, config)
     monkeypatch.undo()
-    return emitted, result.stats.considered
+    return emitted, result
 
 
 def test_audit_runs_the_plain_path(fixtures_dir, monkeypatch):
@@ -806,10 +840,12 @@ def test_audit_runs_the_plain_path(fixtures_dir, monkeypatch):
     assert any(task.bias.max_rules == 2 for task, _ in tasks)
     for task, max_size in tasks:
         for noisy in (False, True):
-            plain = _emitted(monkeypatch, task, LearnConfig(max_size=max_size, noisy=noisy))
-            audited = _emitted(monkeypatch, task, LearnConfig(max_size=max_size, noisy=noisy,
-                                                              audit=True))
+            plain, plain_run = _emitted(monkeypatch, task,
+                                        LearnConfig(max_size=max_size, noisy=noisy))
+            audited, audited_run = _emitted(monkeypatch, task, LearnConfig(
+                max_size=max_size, noisy=noisy, audit=True))
             assert plain == audited, (task.name, noisy)
+            assert plain_run.stats.considered == audited_run.stats.considered, (task.name, noisy)
 
 
 def test_one_rule_slot_matches_no_rule_past_the_optimum(intro_task, monkeypatch):
