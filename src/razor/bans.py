@@ -2,14 +2,17 @@
 pairs of literals that no rule worth building holds.  A dead literal has
 no solution over the model, a dead pair no joint solution, and in an
 implied pair every solution of the first literal satisfies the second,
-whose variables it holds.  HypothesisGenerator leaves them out of its
-choice table; the soundness argument is in its docstring."""
+whose variables it holds.  Of a class of equivalent literals (the same
+variables and the same solutions over them) only those of the least
+head-anchored key stay; the others are equivalent-literal bans.
+HypothesisGenerator leaves them out of its choice table; the soundness
+argument is in its docstring."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .datalog import FactStore, PredKey
 from .deadline import check_deadline
@@ -20,9 +23,10 @@ from .logic import Const, Literal
 class Ban:
     """A literal or a pair of literals that no rule the generator builds
     holds, and why, over the background model: "dead-literal" (no
-    solution), "dead-pair" (no joint solution) or "implied-pair" (the
+    solution), "dead-pair" (no joint solution), "implied-pair" (the
     second literal's variables are among the first's, and every solution
-    of the first satisfies the second)."""
+    of the first satisfies the second) or "equivalent-literal" (the first
+    literal has the second's variables and solutions, and a larger key)."""
 
     kind: str
     literals: tuple[Literal, ...]
@@ -53,21 +57,28 @@ def _solutions(model: FactStore, pattern: tuple) -> set[tuple[str, ...]]:
     return _project(rows, firsts)
 
 
-def background_bans(lits: list[Literal], model: FactStore, target: PredKey, implied: bool,
-                    deadline: Optional[float]) -> tuple[list[int], list[Ban]]:
-    """Per literal of lits, -1 for a dead one and otherwise the bitmask,
+def background_bans(lits: list[Literal], keys: list[tuple], model: FactStore, target: PredKey,
+                    implied: bool, deadline: Optional[float]) -> tuple[list[int], list[Ban]]:
+    """Per literal of lits, -1 for a banned one and otherwise the bitmask,
     over lits numbered as rank bits (the first literal the highest bit),
     of the literals it must not meet in a body; and every ban found.
+    keys holds each literal's head-anchored key (see
+    generate._literal_key).
 
     A literal of the target predicate is never banned.  Any other is
-    dead when the model holds no solution of it.  Two live literals that
-    share a variable make a dead pair when they have no joint solution,
-    and, if implied is set, an implied pair when one's variables are
-    among the other's and every solution of the other satisfies it.  The
-    tests are set operations on the solutions of each literal pattern,
-    projected onto the shared variables, and each verdict is kept per
-    pair pattern, so a test serves every renaming of a pair.  Raises
-    DeadlineExceeded past the deadline, checked once per literal."""
+    dead when the model holds no solution of it.  If implied is set, the
+    live ones fall into classes of equivalent literals, with the same
+    variables and the same solutions over them, and in each class every
+    literal whose key is above the class's least is banned as an
+    equivalent literal; the literals tied at the least key all stay.  Two
+    remaining literals that share a variable make a dead pair when they
+    have no joint solution, and, if implied is set, an implied pair when
+    one's variables are among the other's and every solution of the other
+    satisfies it.  The tests are set operations on the solutions of each
+    literal pattern, projected onto the variables compared, and each pair
+    verdict is kept per pair pattern, so a test serves every renaming of
+    a pair.  Raises DeadlineExceeded past the deadline, checked once per
+    literal."""
     n = len(lits)
     sols: dict[tuple, set] = {}
     projections: dict[tuple, set] = {}
@@ -97,6 +108,11 @@ def background_bans(lits: list[Literal], model: FactStore, target: PredKey, impl
         else:
             conflict[r] = -1
             bans.append(Ban("dead-literal", (lit,)))
+    if implied:
+        for r, kept in _equivalents(live, keys, sols, projection):
+            conflict[r] = -1
+            bans.append(Ban("equivalent-literal", (lits[r], lits[kept])))
+        live = [entry for entry in live if conflict[entry[0]] != -1]
     for i, (r, pa, va) in enumerate(live):
         check_deadline(deadline)
         for s, pb, vb in live[i + 1:]:
@@ -121,3 +137,27 @@ def background_bans(lits: list[Literal], model: FactStore, target: PredKey, impl
     return conflict, bans
 
 
+def _equivalents(live: list, keys: list[tuple], sols: dict,
+                 projection) -> Iterator[tuple[int, int]]:
+    """(r, kept) for each live literal r that background_bans bans as
+    equivalent, kept being its first class-mate of the class's least
+    key.  Literals are grouped by variable set and solution count, and
+    only within a group are their solutions, over the variables in name
+    order, compared."""
+    groups: dict[tuple, list] = {}
+    for entry in live:
+        groups.setdefault((frozenset(entry[2]), len(sols[entry[1]])), []).append(entry)
+    for group in groups.values():
+        classes: list[tuple[set, list[int]]] = []
+        for r, pattern, names in group if len(group) > 1 else ():
+            rel = projection(pattern, tuple(sorted(range(len(names)), key=names.__getitem__)))
+            for other, members in classes:
+                if other == rel:
+                    members.append(r)
+                    break
+            else:
+                classes.append((rel, [r]))
+        for _, members in classes:
+            least = min(keys[r] for r in members)
+            kept = next(r for r in members if keys[r] == least)
+            yield from ((r, kept) for r in members if keys[r] != least)

@@ -418,8 +418,9 @@ class _ChoiceTable(NamedTuple):
     argument: renaming those variables adds multiplier times new name
     for each.
 
-    A dead literal (see background_bans) is in no row, and a choice
-    carries the rank set of the literals it makes a banned pair with."""
+    A dead or equivalent literal (see background_bans) is in no row, and
+    a choice carries the rank set of the literals it makes a banned pair
+    with."""
 
     rows: list[list[_Choice]]  # per count of used variables, by abstract rank
     starts: list[list[int]]  # starts[u][a + 1]: the index of row u's first choice of abstract rank a or more
@@ -499,21 +500,33 @@ class HypothesisGenerator:
     without enumerates the full space.
 
     Background-only bans: unless mode is OFF, the choice table leaves out
-    every literal, pair of literals and, if mode.reducible, implied pair
-    that background_bans finds, so no rule holding one is assembled
-    (bans counts them, time_bans the seconds finding them).  In any
-    hypothesis H holding such a rule r, H without r (dead literal or
-    pair: r covers nothing) or with r minus the implied literal l in
-    place of r (r minus l is safe, connected and non-empty, since l's
-    variables are in the literal that implies it, and it covers what r
-    covers in every hypothesis, recursive ones included) covers the same
-    examples with fewer literals; it is in the space, or it is the empty
-    hypothesis, which is scored first.  A ban depends only on the
-    literals' pattern, so it holds for every renaming of r and canonical
-    selection is unchanged; and a specialisation or pointless constraint
-    from a hypothesis holding r would ban only rules holding a renamed
-    banned literal or pair, banned anyway.  Under audit the bans are
-    kept in ban_records.
+    every dead literal and dead pair that background_bans finds and, if
+    mode.reducible, every implied pair and equivalent literal, so no rule
+    holding one is assembled (bans counts them, time_bans the seconds
+    finding them).  In any hypothesis H holding such a rule r, H without r
+    (dead literal or pair: r covers nothing) or with r minus the implied
+    literal l in place of r (r minus l is safe, connected and non-empty,
+    since l's variables are in the literal that implies it, and it covers
+    what r covers in every hypothesis, recursive ones included) covers the
+    same examples with fewer literals; it is in the space, or it is the
+    empty hypothesis, which is scored first.  An equivalent literal has a
+    kept class-mate with its variables and solutions and the class's
+    least head-anchored key (_literal_key).  Replacing each in r by its
+    kept class-mate gives a rule of r's size that covers what r covers in
+    every hypothesis, recursive ones included, since no rule of the head
+    predicate feeds the model; and it holds a dead or implied pair
+    exactly when r does, as pair verdicts depend on solutions alone (two
+    class-mates make an implied pair).  A pair ban depends only on the
+    literals' pattern and an equivalence ban on solutions and keys, and
+    every renaming that fixes the head preserves both.  So the banned set
+    is closed under those renamings, the replaced rule's canonical form
+    is assembled, and canonical selection is unchanged.  Keeping one
+    literal per class by concrete rank instead would break that closure
+    (adjacent(C,D) and adjacent(D,C) rename into each other), so the
+    class-mates tied at the least key all stay.  A specialisation or
+    pointless constraint from a hypothesis holding r would ban only rules
+    holding a renamed banned literal or pair, banned anyway.  Under audit
+    the bans are kept in ban_records.
 
     A base rule is one with no body literal of the head predicate.  When
     the model holds no fact of the head predicate, a candidate with no
@@ -641,8 +654,8 @@ class HypothesisGenerator:
         conflict, bans = [0] * n, []
         if self.model is not None and self.mode is not DetectMode.OFF:
             t0 = time.perf_counter()
-            conflict, bans = background_bans(lits, self.model, bias.head,
-                                             self.mode.reducible, self.deadline)
+            conflict, bans = background_bans(lits, [lkey[l] for l in lits], self.model,
+                                             bias.head, self.mode.reducible, self.deadline)
             self.time_bans += time.perf_counter() - t0
         table_rows = [sorted(((arank[abstract_key(lit)], crank[lit], 1 << (n - 1 - crank[lit]),
                                mask, cur, cur > used, conflict[crank[lit]])

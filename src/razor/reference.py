@@ -1,13 +1,13 @@
 """Slow reference implementations kept apart from the hot path: the
 naive least model, whole-model coverage, refutation-first implication,
-the enumeration of satisfying substitutions, the coverage-equality
-indiscriminate test, pointless detection without a coverage gate or a
-memo, the per-constraint violation test and sub-hypothesis, and
-``verify_audit``, which re-checks an audited run on them.  The tests
-check the fast queries of ``razor.datalog``, the ``ConstraintStore``
-index and ``pointless.Detector`` against them; nothing on the learner's
-path imports this module, and ``razor.verify_audit`` loads it on first
-use."""
+the enumeration of satisfying substitutions and the implication test it
+gives, the coverage-equality indiscriminate test, pointless detection
+without a coverage gate or a memo, the per-constraint violation test and
+sub-hypothesis, and ``verify_audit``, which re-checks an audited run on
+them.  The tests check the fast queries of ``razor.datalog``, the
+``ConstraintStore`` index and ``pointless.Detector`` against them;
+nothing on the learner's path imports this module, and
+``razor.verify_audit`` loads it on first use."""
 
 from __future__ import annotations
 
@@ -17,9 +17,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .datalog import (Fact, FactStore, PredKey, _check_safe, _plan, _solve, covers_rule,
                       head_binding, least_model)
 from .deadline import check_deadline
-from .generate import Constraint, ConstraintKind, _pointless_match
-from .logic import (Const, Hypothesis, Literal, Rule, Substitution, apply_subst, is_basic,
-                    renamed_subrule, rule_sort_key, subrule)
+from .generate import Constraint, ConstraintKind, _literal_key, _pointless_match
+from .logic import (Const, Hypothesis, Literal, Rule, Substitution, Var, apply_subst,
+                    is_basic, renamed_subrule, rule_sort_key, subrule, var_name)
 from .pointless import (DetectMode, PointlessEvidence, PointlessKind, _captured_literals,
                         is_indiscriminate_direct, is_reducible, reduce_rule)
 from .search import CoverageTester, LearnResult
@@ -138,6 +138,15 @@ def implies_by_refutation(
     return True
 
 
+def implies_by_solutions(store: FactStore, a: Literal, lit: Literal) -> bool:
+    """Whether lit's variables are among a's and every solution of a over
+    the store grounds lit to a fact of it: the reference test of an
+    implied pair, linear in a's solutions where ``implies_by_refutation``
+    grounds lit over the whole domain."""
+    return lit.vars() <= a.vars() and all(
+        store.contains(apply_subst(lit, theta)) for theta in satisfying_substitutions(store, [a]))
+
+
 def sub_hypothesis(h1: Hypothesis, h2: Hypothesis) -> bool:
     """Every rule of h1 has a super-rule in h2."""
     return all(any(subrule(r1, r2) for r2 in h2) for r1 in h1)
@@ -222,20 +231,32 @@ def verify_audit(task, result: LearnResult) -> list[str]:
     """Re-test every audited rejection: the blocked hypothesis must score
     strictly worse than its reduced variant, and no better than the final
     optimum.  Re-check every ban on the reference implementations: a dead
-    literal or pair has no solution over the background model, and an
-    implied pair's first literal holds the second's variables and implies
-    it; neither names the target predicate.  Returns human-readable
-    descriptions of any violations."""
+    literal or pair has no solution over the background model, an implied
+    pair's first literal holds the second's variables and implies it, and
+    an equivalent literal has its kept class-mate's variables, implies it
+    and is implied by it, under a larger head-anchored key; no ban names
+    the target predicate, and a ban of any other kind is reported.
+    Returns human-readable descriptions of any violations."""
     problems: list[str] = []
     tester = CoverageTester(task.bk, task.pos, task.neg)
+    model = tester.model
+    name, arity = task.bias.head
+    head = Literal(name, tuple(Var(var_name(i)) for i in range(arity)))
     for ban in result.ban_records:
         lits = ban.literals
-        if ban.kind == "implied-pair":
-            a, l = lits
-            holds = l.vars() <= a.vars() and implies_by_refutation(
-                tester.model, [a], l, list(task.constant_domain))
+        if ban.kind in ("dead-literal", "dead-pair"):
+            holds = next(satisfying_substitutions(model, lits), None) is None
+        elif ban.kind == "implied-pair":
+            holds = implies_by_solutions(model, *lits)
+        elif ban.kind == "equivalent-literal":
+            banned, kept = lits
+            holds = (banned.vars() == kept.vars()
+                     and _literal_key(banned, head) > _literal_key(kept, head)
+                     and implies_by_solutions(model, banned, kept)
+                     and implies_by_solutions(model, kept, banned))
         else:
-            holds = next(satisfying_substitutions(tester.model, lits), None) is None
+            problems.append(f"ban of unknown kind {ban.kind!r} on {list(lits)}")
+            continue
         if not holds or any(l.pred_key == task.bias.head for l in lits):
             problems.append(f"banned {ban.kind} {list(lits)} does not hold")
     for rec in result.audit_records:

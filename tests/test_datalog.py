@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (chain_task, checked_learn, ground, lit, parse_hypothesis, parse_rule,
-                     random_goal_program)
+from helpers import (bias_literal_pool, chain_task, checked_learn, ground, lit,
+                     parse_hypothesis, parse_rule, random_goal_program)
 
 from razor import (
     Const,
@@ -665,6 +665,27 @@ def test_implies_agrees_with_reference_on_micro_strata(seed, recursion):
             assert implies(model, body, literal, domain, theta) == \
                 implies_by_refutation(model, body, literal, domain, theta), (rule, literal, e)
     assert pairs > 0
+
+
+def test_implies_by_solutions_agrees_with_refutation_on_micro_pairs():
+    # the implied-pair test verify_audit uses, against the refutation
+    # reference with the containment of variables, on random pairs of
+    # literals each micro bias allows, recursive tasks included
+    from razor.reference import implies_by_solutions
+
+    rng = random.Random(29)
+    outcomes = set()
+    for seed in range(1, 61):
+        task = random_task(seed, recursion=seed % 3 == 0).task
+        model = least_model(task.bk)
+        domain = list(task.constant_domain)
+        pool = bias_literal_pool(task.bias)
+        for _ in range(40):
+            a, l = rng.choice(pool), rng.choice(pool)
+            want = l.vars() <= a.vars() and implies_by_refutation(model, [a], l, domain)
+            assert implies_by_solutions(model, a, l) == want, (seed, a, l)
+            outcomes.add(want)
+    assert outcomes == {False, True}
 
 
 @st.composite

@@ -3,6 +3,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (bench_chain_tasks, chain_task, hypothesis_key, parse_hypothesis,
                      parse_rule, rule_ids)
@@ -23,8 +25,8 @@ from razor import (
     parse_task,
 )
 from razor import generate
-from razor.generate import DeadlineExceeded
-from razor.reference import implies_by_refutation, satisfying_substitutions, violates
+from razor.generate import DeadlineExceeded, _literal_key
+from razor.reference import implies_by_solutions, satisfying_substitutions, violates
 from razor.logic import (
     Rule,
     canonicalize,
@@ -32,6 +34,7 @@ from razor.logic import (
     hypothesis_size,
     in_search_space,
     rename_literal,
+    var_name,
 )
 from razor.microtask import random_task
 from razor.oracle import DEFAULT_CEILING, _rule_stratum, enumerate_all
@@ -496,22 +499,43 @@ def test_generator_skips_exactly_the_candidates_with_no_base_rule():
     assert skipped_total > 0 and multi_rule > 0
 
 
-def _reference_bans(task, model, lits) -> dict[frozenset, tuple]:
+def _reference_bans(task, model, lits, reducible=True,
+                    equivalents=True) -> dict[frozenset, tuple]:
     """Every ban over the table's literals, straight from the reference
-    implementations: a literal of a background predicate with no solution,
-    a pair of live ones with no joint solution, and a pair (a, l) with
-    vars(l) within vars(a) and a implying l; each keyed by its literal set
-    and given as (kind, literals)."""
+    implementations: a literal of a background predicate with no solution;
+    if reducible and equivalents are set, of each class of live literals
+    with one variable set that imply each other, every one whose
+    head-anchored key is above the class's least, kept as equivalent to
+    the first of the least key; and a pair of remaining ones with no
+    joint solution or, if reducible is set, a pair (a, l) with a implying
+    l and holding its variables.  Each is keyed by its literal set and
+    given as (kind, literals)."""
     def dead(*body):
         return next(satisfying_substitutions(model, body), None) is None
 
     def implied(a, l):
-        return l.vars() <= a.vars() and implies_by_refutation(
-            model, [a], l, list(task.constant_domain))
+        return reducible and implies_by_solutions(model, a, l)
 
+    head = HypothesisGenerator(task.bias, ConstraintStore())._head()
     lits = [lit for lit in lits if lit.pred_key != task.bias.head]
     out = {frozenset([lit]): ("dead-literal", (lit,)) for lit in lits if dead(lit)}
     live = [lit for lit in lits if frozenset([lit]) not in out]
+    classes: list[list] = []
+    for lit in live if reducible and equivalents else ():
+        for members in classes:
+            if lit.vars() == members[0].vars() and implied(lit, members[0]) \
+                    and implied(members[0], lit):
+                members.append(lit)
+                break
+        else:
+            classes.append([lit])
+    for members in classes:
+        least = min(_literal_key(lit, head) for lit in members)
+        kept = next(lit for lit in members if _literal_key(lit, head) == least)
+        for lit in members:
+            if _literal_key(lit, head) != least:
+                out[frozenset([lit])] = ("equivalent-literal", (lit, kept))
+    live = [lit for lit in live if frozenset([lit]) not in out]
     for a, b in combinations(live, 2):
         if dead(a, b):
             out[frozenset([a, b])] = ("dead-pair", (a, b))
@@ -522,13 +546,26 @@ def _reference_bans(task, model, lits) -> dict[frozenset, tuple]:
     return out
 
 
+def _keyed(bans) -> dict[frozenset, tuple]:
+    """A generator's ban records keyed as _reference_bans keys them: by
+    the banned literal or pair."""
+    return {frozenset(ban.literals[:1] if ban.kind == "equivalent-literal" else ban.literals):
+            (ban.kind, ban.literals) for ban in bans}
+
+
 @pytest.fixture(scope="module")
 def banned_tasks(fixtures_dir):
-    """Per task (the four fixtures, the benchmark's recursive-chain tasks
-    of seed 1, micro seeds 1-12 and recursive micro seeds 1-4): the task,
-    a generator given its background model and the reference bans."""
+    """Per task (the four fixtures, eight_puzzle_mini with six variables,
+    the benchmark's recursive-chain tasks of seed 1, micro seeds 1-12 and
+    recursive micro seeds 1-4): the task, a generator given its
+    background model and the reference bans.  With six variables two of
+    them are not in the head, so the symmetric adjacent/2 has class-mates
+    tied at the least key that rename into each other."""
     tasks = [parse_task(fixtures_dir / name) for name in
              ("intro", "transitive_gt", "eight_puzzle_mini", "trains_mini")]
+    wide = parse_task(fixtures_dir / "eight_puzzle_mini")
+    wide.name, wide.bias = "eight_puzzle_mini-6", dataclasses.replace(wide.bias, max_vars=6)
+    tasks.append(wide)
     tasks += bench_chain_tasks(1)
     tasks += [random_task(seed).task for seed in range(1, 13)]
     tasks += [random_task(seed, recursion=True).task for seed in range(1, 5)]
@@ -540,35 +577,43 @@ def banned_tasks(fixtures_dir):
     return out
 
 
+def _banned(table) -> tuple[set, set]:
+    """The literals in no row of a choice table, and the pairs of the
+    others that it bans, each pair's ban carried by both literals."""
+    n = len(table.lits)
+    choices = {c[1]: c for row in table.rows for c in row}
+    literals = {lit for r, lit in enumerate(table.lits) if r not in choices}
+    pairs = set()
+    for r, s in combinations(sorted(choices), 2):
+        banned = choices[r][6] >> (n - 1 - s) & 1
+        assert banned == choices[s][6] >> (n - 1 - r) & 1
+        if banned:
+            pairs.add(frozenset([table.lits[r], table.lits[s]]))
+    return literals, pairs
+
+
 def test_ban_table_is_exact(banned_tasks):
-    # a table literal is dead, and a pair of table literals banned, iff the
-    # reference says so; the table's ban list names each once, with its
-    # kind; without the reducible mode the implied pairs go and nothing
-    # else moves
+    # a table literal is dead or equivalent, and a pair of table literals
+    # banned, iff the reference says so; the table's ban list names each
+    # once, with its kind; without the reducible mode the equivalent
+    # literals and implied pairs go, and off builds no bans
     kinds = set()
     for task, gen, expected in banned_tasks:
         table = gen._choice_table()
-        n = len(table.lits)
-        choices = {c[1]: c for row in table.rows for c in row}
-        got = {frozenset([lit]) for r, lit in enumerate(table.lits) if r not in choices}
-        for r, s in combinations(sorted(choices), 2):
-            banned = choices[r][6] >> (n - 1 - s) & 1
-            assert banned == choices[s][6] >> (n - 1 - r) & 1
-            if banned:
-                got.add(frozenset([table.lits[r], table.lits[s]]))
-        assert got == set(expected), task.name
-        assert {frozenset(ban.literals): (ban.kind, ban.literals) for ban in gen.ban_records} \
-            == expected and len(gen.ban_records) == gen.bans == len(expected), task.name
+        literals, pairs = _banned(table)
+        assert {frozenset([lit]) for lit in literals} | pairs == set(expected), task.name
+        assert _keyed(gen.ban_records) == expected, task.name
+        assert len(gen.ban_records) == gen.bans == len(expected), task.name
         kinds |= {kind for kind, _ in expected.values()}
         no_implied, off = (HypothesisGenerator(task.bias, ConstraintStore(), audit=True,
                                                model=gen.model, mode=mode)
                            for mode in (DetectMode.INDISCRIMINATE_ONLY, DetectMode.OFF))
         no_implied.rule_stratum(2)
         off.rule_stratum(2)
-        assert no_implied.ban_records == [
-            ban for ban in gen.ban_records if ban.kind != "implied-pair"], task.name
+        assert _keyed(no_implied.ban_records) == \
+            _reference_bans(task, gen.model, table.lits, reducible=False), task.name
         assert off.bans == 0 and off.ban_records == []
-    assert kinds == {"dead-literal", "dead-pair", "implied-pair"}
+    assert kinds == {"dead-literal", "dead-pair", "implied-pair", "equivalent-literal"}
 
 
 def test_banned_stratum_is_the_full_stratum_less_the_banned_rules(banned_tasks):
@@ -585,6 +630,52 @@ def test_banned_stratum_is_the_full_stratum_less_the_banned_rules(banned_tasks):
             assert gen.rule_stratum(rule_size) == kept, (task.name, rule_size)
             cut += len(full.rule_stratum(rule_size)) - len(kept)
     assert cut > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bans_are_closed_under_renamings_that_fix_the_head(banned_tasks, data):
+    # a ban, equivalent-literal ones included, depends on no name of a
+    # non-head variable: every injective renaming of the non-head
+    # variables maps the banned literals and pairs onto themselves
+    task, gen, _ = data.draw(st.sampled_from(banned_tasks))
+    names = [var_name(i) for i in range(task.bias.max_vars)]
+    n_head = task.bias.head[1]
+    theta = dict(zip(names, names[:n_head] + data.draw(st.permutations(names[n_head:]))))
+    literals, pairs = _banned(gen._choice_table())
+    assert {rename_literal(lit, theta) for lit in literals} == literals, task.name
+    assert {frozenset(rename_literal(lit, theta) for lit in pair) for pair in pairs} == pairs
+
+
+def test_every_rule_with_an_equivalent_literal_has_a_kept_twin():
+    # micro seeds 1-140, every third recursive: a rule of the unbanned
+    # stratum that holds no dead literal or pair and no implied pair has,
+    # once each equivalent-literal ban is swapped for its kept literal, a
+    # canonical form in the banned stratum, of the same size and with the
+    # same coverage masks
+    swapped = 0
+    for seed in range(1, 141):
+        task = random_task(seed, recursion=seed % 3 == 0).task
+        tester = CoverageTester(task.bk, task.pos, task.neg)
+        full = HypothesisGenerator(task.bias, ConstraintStore())
+        gen = HypothesisGenerator(task.bias, ConstraintStore(), audit=True, model=tester.model)
+        gen._choice_table()
+        kept = {ban.literals[0]: ban.literals[1] for ban in gen.ban_records
+                if ban.kind == "equivalent-literal"}
+        unswapped = _reference_bans(task, tester.model, full._choice_table().lits,
+                                    equivalents=False)
+        for rule_size in range(2, task.bias.max_body + 2):
+            banned = set(gen.rule_stratum(rule_size))
+            for rule in full.rule_stratum(rule_size):
+                if rule in banned or any(frozenset(sub) in unswapped for k in (1, 2)
+                                         for sub in combinations(rule.body, k)):
+                    continue
+                twin = canonicalize(Rule(rule.head, frozenset(kept.get(l, l) for l in rule.body)))
+                assert twin in banned and len(twin.body) == len(rule.body), (seed, rule)
+                assert tester.masks(frozenset([twin])) == tester.masks(frozenset([rule])), \
+                    (seed, rule)
+                swapped += 1
+    assert swapped > 0
 
 
 def test_empty_store_stratum_is_the_oracle_stratum(fixtures_dir):
@@ -646,7 +737,7 @@ def test_deadline_never_leaves_a_partial_stratum(intro_task):
             gen.next_hypothesis(3)
         gen.deadline = None
         assert _drain(gen, 3) == _drain(fresh, 3)
-        assert gen.bans == fresh.bans == (90 if model else 0)
+        assert gen.bans == fresh.bans == (63 if model else 0)
 
 
 def test_deadline_fires_before_any_candidate_is_matched(intro_task, monkeypatch):
