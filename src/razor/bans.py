@@ -4,19 +4,20 @@ no solution over the model, a dead pair no joint solution, and in an
 implied pair every solution of the first literal satisfies the second,
 whose variables it holds.  Of a class of equivalent literals (the same
 variables and the same solutions over them) only those of the least
-head-anchored key stay; the others are equivalent-literal bans.
-HypothesisGenerator leaves them out of its choice table; the soundness
-argument is in its docstring."""
+head-anchored key stay; the others are equivalent-literal bans.  The
+solutions come from the join step of ``razor.datalog``, so a ground
+literal is live exactly when its fact holds.  HypothesisGenerator leaves
+the bans out of its choice table; the soundness argument is in its
+docstring."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-from .datalog import FactStore, PredKey
+from .datalog import FactStore, PredKey, _compile, _projector, _Step
 from .deadline import check_deadline
-from .logic import Const, Literal
+from .logic import Literal
 
 
 @dataclass(frozen=True)
@@ -30,31 +31,6 @@ class Ban:
 
     kind: str
     literals: tuple[Literal, ...]
-
-
-def _project(rows: Iterable[tuple], idx: tuple[int, ...]) -> set[tuple]:
-    """Each row cut to the given positions, in their order."""
-    if len(idx) == 1:
-        return set(zip(map(itemgetter(idx[0]), rows)))
-    return set(map(itemgetter(*idx), rows)) if idx else {()}
-
-
-def _solutions(model: FactStore, pattern: tuple) -> set[tuple[str, ...]]:
-    """The values of a literal's distinct variables, in first-occurrence
-    order, over the facts matching its pattern: its predicate and its
-    arguments, a constant by name and a variable by first occurrence."""
-    pred, args = pattern
-    firsts = tuple(args.index(v) for v in range(len({a for a in args if isinstance(a, int)})))
-    rows = model.tuples(pred)
-    if len(firsts) == len(args):
-        return rows
-    for p, a in enumerate(args):
-        if isinstance(a, str):
-            rows = [f for f in rows if f[p] == a]
-        elif firsts[a] != p:
-            q = firsts[a]
-            rows = [f for f in rows if f[p] == f[q]]
-    return _project(rows, firsts)
 
 
 def background_bans(lits: list[Literal], keys: list[tuple], model: FactStore, target: PredKey,
@@ -81,16 +57,16 @@ def background_bans(lits: list[Literal], keys: list[tuple], model: FactStore, ta
     literal."""
     n = len(lits)
     sols: dict[tuple, set] = {}
-    projections: dict[tuple, set] = {}
+    projections: dict[tuple, frozenset] = {}
     verdicts: dict[tuple, int] = {}
     conflict, bans, live = [0] * n, [], []
 
-    def projection(pattern: tuple, idx: tuple[int, ...]) -> set:
+    def projection(pattern: tuple, idx: tuple[int, ...]) -> frozenset:
         out = projections.get((pattern, idx))
         if out is None:
             sol = sols[pattern]
             whole = idx == tuple(range(len(next(iter(sol)))))
-            out = projections[pattern, idx] = sol if whole else _project(sol, idx)
+            out = projections[pattern, idx] = frozenset(sol if whole else map(_projector(idx), sol))
         return out
 
     for r, lit in enumerate(lits):
@@ -98,11 +74,11 @@ def background_bans(lits: list[Literal], keys: list[tuple], model: FactStore, ta
         if lit.pred_key == target:
             continue
         names: dict[str, int] = {}
-        pattern = (lit.pred_key, tuple(t.name if isinstance(t, Const)
-                                       else names.setdefault(t.name, len(names))
-                                       for t in lit.args))
+        pattern = _compile(lit, names)
         if pattern not in sols:
-            sols[pattern] = _solutions(model, pattern)
+            # distinct variables and no constant: the facts themselves
+            sols[pattern] = model.tuples(lit.pred_key) if len(names) == len(lit.args) else \
+                set(_Step(pattern, {}, set(range(len(names))), scan=False).run(model, [()]))
         if sols[pattern]:
             live.append((r, pattern, tuple(names)))
         else:
@@ -148,16 +124,11 @@ def _equivalents(live: list, keys: list[tuple], sols: dict,
     for entry in live:
         groups.setdefault((frozenset(entry[2]), len(sols[entry[1]])), []).append(entry)
     for group in groups.values():
-        classes: list[tuple[set, list[int]]] = []
+        classes: dict[frozenset, list[int]] = {}
         for r, pattern, names in group if len(group) > 1 else ():
             rel = projection(pattern, tuple(sorted(range(len(names)), key=names.__getitem__)))
-            for other, members in classes:
-                if other == rel:
-                    members.append(r)
-                    break
-            else:
-                classes.append((rel, [r]))
-        for _, members in classes:
+            classes.setdefault(rel, []).append(r)
+        for members in classes.values():
             least = min(keys[r] for r in members)
             kept = next(r for r in members if keys[r] == least)
             yield from ((r, kept) for r in members if keys[r] != least)

@@ -341,7 +341,7 @@ def _projector(items: Sequence[Arg]) -> Callable[[tuple], tuple]:
         return itemgetter(*items)
     if items:
         (q,) = items
-        return lambda row: (row[q],)
+        return itemgetter(slice(q, q + 1))
     return lambda row: ()
 
 
@@ -359,7 +359,8 @@ class _Step:
       facts' values at those positions and the values a row demands there
       (constants when the lookup is not a row's);
     - ``rep_at`` and ``rep_of``: a variable repeated among the new ones
-      makes equal the facts' values at these two lists of positions;
+      makes equal the facts' values at these two lists of positions
+      (None when no variable repeats);
     - ``appends``: the fact positions of the new variables, in binding
       order, appended to each row; empty when nothing later reads them,
       and the step then keeps each row that some fact matches, once.
@@ -399,8 +400,8 @@ class _Step:
         self.filtered = bool(checked or repeats)
         self.check_at = _projector([j for j, _ in checked])
         self.check_of = _projector([v for _, v in checked])
-        self.rep_at = _projector([j for j, _ in repeats])
-        self.rep_of = _projector([k for _, k in repeats])
+        self.rep_at = itemgetter(*[j for j, _ in repeats]) if repeats else None
+        self.rep_of = itemgetter(*[k for _, k in repeats]) if repeats else None
         self.appends: tuple[int, ...] = ()
         if self.member is None and live & first.keys():
             self.appends = tuple(first.values())
@@ -415,7 +416,9 @@ class _Step:
         if not self.filtered:
             return facts
         check_at, rep_at, rep_of = self.check_at, self.rep_at, self.rep_of
-        return [f for f in facts if check_at(f) == want and rep_at(f) == rep_of(f)]
+        if rep_at is None:
+            return [f for f in facts if check_at(f) == want]
+        return [f for f in facts if (not want or check_at(f) == want) and rep_at(f) == rep_of(f)]
 
     def run(self, store: FactStore, rows: list[Row],
             facts: Optional[Collection[Fact]] = None) -> list[Row]:

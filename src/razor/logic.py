@@ -281,11 +281,6 @@ def hypothesis_sorted(h: Hypothesis) -> list[Rule]:
 # renaming-aware subrule matching
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _match_order(rule: Rule) -> tuple[Literal, ...]:
-    return tuple(sorted(rule.body, key=concrete_key))
-
-
 def _match_literal(pat: Literal, target: Literal, theta: dict[str, str],
                    used: set[str], trail: list[str]) -> bool:
     """Extend the injective renaming theta in place so that pat maps onto
@@ -328,7 +323,7 @@ def iter_renamings(p: Rule, r: Rule) -> Iterator[dict[str, str]]:
     trail: list[str] = []
     if not _match_literal(p.head, r.head, theta, used, trail):
         return
-    body_p = _match_order(p)
+    body_p = p.body_sorted()
     body_r = list(r.body)
 
     # a renaming fixes the image of every pattern literal, so it is reached

@@ -168,6 +168,16 @@ enable_recursion.
 """
 
 
+# constants at every argument of q/2: the ground literal q(a,c) holds and
+# q(b,c) has no fact, so it is a dead literal, not q(a,c)'s equivalent
+GROUND_LITERAL_FILES = {
+    "bias.pl": "head_pred(f,1). body_pred(p,1). body_pred(q,2). "
+               "constant(q,1,[a,b]). constant(q,2,[c]). max_vars(2). max_body(2).",
+    "bk.pl": "p(x1). p(x2). p(x3). q(a,c). q(x1,x2).",
+    "exs.pl": "pos(f(x1)). pos(f(x2)). neg(f(x3)).",
+}
+
+
 def bench_chain_tasks(seed: int) -> list:
     """The tasks of the benchmark's recursive-chain workload for a seed,
     parsed, from the benchmark's own task builder (loaded by path and

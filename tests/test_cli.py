@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import parse_rule
+from helpers import GROUND_LITERAL_FILES, parse_rule
 from test_parse_corpus import RULESETS
 from razor.cli import main
 from razor.logic import canonicalize
@@ -82,6 +82,16 @@ def test_learn_audit_flag(capsys, fixtures_dir):
                            "--audit", capsys=capsys)
     assert code == 0
     assert "audit: 0 pruned candidates and 93 bans verified" in out
+
+
+def test_learn_audit_verifies_the_bans_on_ground_literals(capsys, tmp_path):
+    # q(b,c) has no fact: it is banned as dead, not as an equivalent of
+    # the true q(a,c), and every ban re-checks clean
+    for name, text in GROUND_LITERAL_FILES.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run_cli("learn", str(tmp_path), "--audit", capsys=capsys)
+    assert code == 0
+    assert "bans verified" in out and "AUDIT VIOLATION" not in err
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (bench_chain_tasks, chain_task, hypothesis_key, parse_hypothesis,
-                     parse_rule, rule_ids)
+from helpers import (GROUND_LITERAL_FILES, bench_chain_tasks, chain_task, hypothesis_key,
+                     parse_hypothesis, parse_rule, rule_ids)
 
 from razor import (
     Bias,
@@ -23,6 +23,7 @@ from razor import (
     learn,
     least_model,
     parse_task,
+    parse_task_strings,
 )
 from razor import generate
 from razor.generate import DeadlineExceeded, _literal_key
@@ -556,11 +557,13 @@ def _keyed(bans) -> dict[frozenset, tuple]:
 @pytest.fixture(scope="module")
 def banned_tasks(fixtures_dir):
     """Per task (the four fixtures, eight_puzzle_mini with six variables,
-    the benchmark's recursive-chain tasks of seed 1, micro seeds 1-12 and
-    recursive micro seeds 1-4): the task, a generator given its
-    background model and the reference bans.  With six variables two of
-    them are not in the head, so the symmetric adjacent/2 has class-mates
-    tied at the least key that rename into each other."""
+    the benchmark's recursive-chain tasks of seed 1, micro seeds 1-12,
+    recursive micro seeds 1-4 and a task with a constant at every
+    argument of q/2): the task, a generator given its background model
+    and the reference bans.  With six variables two of them are not in
+    the head, so the symmetric adjacent/2 has class-mates tied at the
+    least key that rename into each other.  Of the ground literals
+    q(a,c) holds and q(b,c) is dead."""
     tasks = [parse_task(fixtures_dir / name) for name in
              ("intro", "transitive_gt", "eight_puzzle_mini", "trains_mini")]
     wide = parse_task(fixtures_dir / "eight_puzzle_mini")
@@ -569,6 +572,7 @@ def banned_tasks(fixtures_dir):
     tasks += bench_chain_tasks(1)
     tasks += [random_task(seed).task for seed in range(1, 13)]
     tasks += [random_task(seed, recursion=True).task for seed in range(1, 5)]
+    tasks.append(parse_task_strings(*GROUND_LITERAL_FILES.values(), name="ground-literals"))
     out = []
     for task in tasks:
         model = CoverageTester(task.bk, task.pos, task.neg).model

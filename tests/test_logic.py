@@ -202,11 +202,10 @@ def test_canonicalize_idempotent_and_renaming_invariant():
 
 
 def test_an_oracle_run_adds_no_cache_entry_per_rule(trains_task):
-    # the module-level memos are keyed by literal, or by the few rules a
-    # constraint is matched from; the thousands of rules the oracle
-    # enumerates and canonicalizes leave nothing behind
+    # the module-level memos are keyed by literal; the thousands of rules
+    # the oracle enumerates and canonicalizes leave nothing behind
     cached = sorted(name for name, obj in vars(logic).items() if hasattr(obj, "cache_info"))
-    assert cached == ["_match_order", "abstract_key", "concrete_key"]
+    assert cached == ["abstract_key", "concrete_key"]
 
     def held():
         return sum(getattr(logic, name).cache_info().currsize for name in cached)
