@@ -1,33 +1,28 @@
 """Bottom-up evaluation of function-free definite programs and the
 entailment queries used for coverage testing and redundancy detection.
 
-Rule bodies are compiled into argument slots and constants, and three
-kinds of join run on them.  Each query fixes its join structure before
-its first join:
+Every join runs on one primitive, ``_Step``: one literal joined set at a
+time against a whole batch of rows, each holding the values of the
+variables bound so far.  Each query compiles its literals into steps
+before its first join, in a static greedy order (``_chain``) unless
+stated:
 
-- ``_solve`` serves the existential queries of redundancy detection
-  (``implies``) and the enumeration of ``reference.satisfying_substitutions``:
-  it works tuple at a time on a binding list indexed by slot, picks the
-  smallest index bucket per binding and stops at the first solution its
-  caller wants.  ``implies`` splits its body into components under the
-  seed once, checks each component apart from the tested literal once,
-  and runs one join of the rest and one bucket check per distinct
-  solution, never one check per domain value.
-- ``covers_rule`` runs on a ``CoveragePack``, which holds one example
-  list and joins set at a time: rows of an example index and variable
-  values are extended by one body literal at a time, and the rows of
-  each body prefix are kept for the next rule that shares it.  The body
-  is ordered once, in concrete-key order except that a literal waits
-  until the head or an earlier literal binds one of its variables, so no
-  example is crossed with a whole predicate.  Over a stratum, whose
-  rules arrive in concrete-key order, a rule costs about one extension:
-  its last literal, joined to its parent prefix's rows only to learn
-  which rows some fact matches.
-- The fixpoint rounds of ``least_model`` run set at a time: each rule
-  body, once per body position a delta can feed, is compiled into a
-  pipeline of steps with a static join order, and every step joins a
-  whole batch of bindings against the store in one comprehension.  The
-  packs' extensions are such steps.
+- ``least_model`` runs semi-naive fixpoint rounds on pipelines, one per
+  rule body and body position a delta can feed, whose final rows are
+  projected onto the head.
+- ``covers_rule`` runs on a ``CoveragePack``: rows of an example index
+  and variable values are extended one body literal at a time, in
+  concrete-key order except that a literal waits until the head or an
+  earlier literal binds one of its variables, and the rows of each body
+  prefix are kept for the next rule that shares it.  Over a stratum a
+  rule costs about one extension, its last literal.
+- ``implies``, the existential query of redundancy detection, is
+  compiled once per body, tested literal and set of seeded variables,
+  and the seed's values are its first row.  Each body component apart
+  from the literal is an existential chain checked once, the others one
+  chain kept to the literal's variables, and the literal one last step
+  over their distinct bindings: a membership test, or a step appending
+  its lone variables, never one check per domain value.
 """
 
 from __future__ import annotations
@@ -47,8 +42,6 @@ from .logic import (
 )
 
 PredKey = tuple[str, int]
-
-Program = list[Rule]
 
 Fact = tuple[str, ...]
 
@@ -130,12 +123,8 @@ class FactStore:
                     idx.setdefault(args[pos], []).append(args)
         return fresh
 
-    def has(self, key: PredKey, args: Fact) -> bool:
-        bucket = self._facts.get(key)
-        return bucket is not None and args in bucket
-
     def contains(self, atom: Literal) -> bool:
-        return self.has(atom.pred_key, tuple(t.name for t in atom.args))
+        return tuple([t.name for t in atom.args]) in self._facts.get(atom.pred_key, ())
 
     def tuples(self, key: PredKey) -> set[Fact]:
         return self._facts.get(key, set())
@@ -150,22 +139,6 @@ class FactStore:
                 idx.setdefault(args[pos], []).append(args)
             self._pos_index[(key, pos)] = idx
         return idx
-
-    def _bucket(self, key: PredKey, pattern: Sequence[Optional[str]]) -> tuple[Collection[Fact], int]:
-        """The smallest index bucket over the bound positions of the
-        pattern (None = free) and its position, or every fact and -1 when
-        none is bound.  Facts in it may still disagree with the pattern at
-        the other bound positions."""
-        best: Optional[Collection[Fact]] = None
-        best_pos = -1
-        for pos, val in enumerate(pattern):
-            if val is not None:
-                bucket = self._index(key, pos).get(val, ())
-                if best is None or len(bucket) < len(best):
-                    best, best_pos = bucket, pos
-        if best is None:
-            return self._facts.get(key, ()), -1
-        return best, best_pos
 
     def atoms(self) -> Iterator[Literal]:
         for key in sorted(self._facts):
@@ -183,7 +156,6 @@ class FactStore:
 # a compiled argument: a slot number for a variable, the name for a constant
 Arg = Union[int, str]
 CompiledLiteral = tuple[PredKey, tuple[Arg, ...]]
-Binding = list[Optional[str]]
 
 
 class _Plan:
@@ -192,33 +164,29 @@ class _Plan:
     optional extra literal (a rule head, or the literal an implication
     tests) sharing the slots."""
 
-    __slots__ = ("names", "slot", "body", "head", "pipelines")
+    __slots__ = ("slot", "body", "head", "pipelines", "queries")
 
     def __init__(self, body: Iterable[Literal], head: Optional[Literal]):
         self.slot: dict[str, int] = {}
-        self.body = tuple(self.compile(lit) for lit in sorted(body, key=concrete_key))
-        self.head = self.compile(head) if head is not None else None
-        self.names = tuple(self.slot)
-        # fixpoint pipelines, compiled on first use: key None joins the
-        # whole body, key i starts from delta facts of body literal i
+        self.body = tuple(_compile(lit, self.slot) for lit in sorted(body, key=concrete_key))
+        self.head = _compile(head, self.slot) if head is not None else None
+        # compiled on first use: fixpoint pipelines (key None joins the
+        # whole body, key i starts from delta facts of body literal i) and
+        # implication queries, keyed by their seeded slots
         self.pipelines: dict[Optional[int], _Pipeline] = {}
-
-    def compile(self, lit: Literal) -> CompiledLiteral:
-        return _compile(lit, self.slot)
-
-    def binding(self, seed: Optional[Substitution] = None) -> Binding:
-        b: Binding = [None] * len(self.names)
-        for name, term in (seed or {}).items():
-            s = self.slot.get(name)
-            if s is not None and isinstance(term, Const):
-                b[s] = term.name
-        return b
+        self.queries: dict[tuple[int, ...], _Query] = {}
 
     def pipeline(self, first: Optional[int] = None) -> _Pipeline:
         pipe = self.pipelines.get(first)
         if pipe is None:
             pipe = self.pipelines[first] = _Pipeline(self.body, self.head, first)  # type: ignore[arg-type]
         return pipe
+
+    def query(self, seeded: tuple[int, ...]) -> _Query:
+        query = self.queries.get(seeded)
+        if query is None:
+            query = self.queries[seeded] = _Query(self, seeded)
+        return query
 
 
 def _compile(lit: Literal, slots: dict[str, int]) -> CompiledLiteral:
@@ -234,89 +202,6 @@ def _plan(body: frozenset[Literal], head: Optional[Literal] = None) -> _Plan:
     return _Plan(body, head)
 
 
-def _ground(args: tuple[Arg, ...], b: Binding) -> tuple:
-    """The literal's arguments under b, None at a free slot."""
-    return tuple([a if a.__class__ is str else b[a] for a in args])
-
-
-def _solve(store: FactStore, lits: Sequence[CompiledLiteral], b: Binding) -> Iterator[Binding]:
-    """Yield b once per extension that grounds every literal to a fact of
-    the store.  b is extended in place and restored when the generator
-    is exhausted, so read it before resuming."""
-    # cheapest literal first: a ground literal is one membership test that
-    # either fails the conjunction or drops out; otherwise take the
-    # literal with the smallest index bucket
-    best = best_pat = None
-    best_i = best_pos = -1
-    ground_true = []
-    for i, (key, args) in enumerate(lits):
-        pat = _ground(args, b)
-        if None not in pat:
-            if pat not in store.tuples(key):
-                return
-            ground_true.append(i)
-            continue
-        bucket, pos = store._bucket(key, pat)
-        if best is None or len(bucket) < len(best):
-            if not bucket:
-                return
-            best, best_pat, best_i, best_pos = bucket, pat, i, pos
-    if best is None:
-        yield b
-        return
-    args = lits[best_i][1]
-    rest = [lit for i, lit in enumerate(lits) if i != best_i and i not in ground_true]
-    # the bucket agrees with the pattern at best_pos; check the other
-    # bound positions and the repeats of a free variable
-    first: dict[int, int] = {}
-    checks: list[tuple[int, str]] = []
-    repeats: list[tuple[int, int]] = []
-    for j, v in enumerate(best_pat):
-        if v is None:
-            s = args[j]
-            if s in first:
-                repeats.append((j, first[s]))
-            else:
-                first[s] = j
-        elif j != best_pos:
-            checks.append((j, v))
-    facts = _filter(best, checks, repeats) if checks or repeats else best
-    free = [(j, s) for s, j in first.items()]
-    # each fact overwrites every free slot
-    for fact in facts:
-        for j, s in free:
-            b[s] = fact[j]
-        if rest:
-            yield from _solve(store, rest, b)
-        else:
-            yield b
-    for _, s in free:
-        b[s] = None
-
-
-def _filter(facts: Collection[Fact], checks: list[tuple[int, str]],
-            repeats: list[tuple[int, int]]) -> list[Fact]:
-    """The facts holding the given constants at the given positions and
-    equal values at the given pairs of positions."""
-    if len(checks) == 1 and not repeats:
-        (j, v), = checks
-        return [f for f in facts if f[j] == v]
-    if len(repeats) == 1 and not checks:
-        (j, k), = repeats
-        return [f for f in facts if f[j] == f[k]]
-    return [f for f in facts
-            if all(f[j] == v for j, v in checks) and all(f[j] == f[k] for j, k in repeats)]
-
-
-def _satisfiable(store: FactStore, lits: Sequence[CompiledLiteral], b: Binding) -> bool:
-    """Whether the literals have a solution extending b; b is left as
-    it was (an abandoned join does not restore it)."""
-    saved = b[:]
-    found = next(_solve(store, lits, b), None) is not None
-    b[:] = saved
-    return found
-
-
 def _check_safe(rules: Iterable[Rule]) -> None:
     for rule in rules:
         missing = unsafe_head_vars(rule)
@@ -324,32 +209,28 @@ def _check_safe(rules: Iterable[Rule]) -> None:
             raise UnsafeRuleError(rule, missing)
 
 
-# ---------------------------------------------------------------------------
-# set-at-a-time fixpoint rounds
-# ---------------------------------------------------------------------------
-
-# a pipeline binding: the values of the bound variables in binding order
+# a row: the values of the bound variables in binding order
 Row = tuple
+_nothing = itemgetter(slice(0, 0))  # the projector of no item
 
 
 def _projector(items: Sequence[Arg]) -> Callable[[tuple], tuple]:
     """The function building a tuple from a row or a fact: an int item is
     a position in it, a str item a constant."""
-    if any(a.__class__ is str for a in items):
+    if not items:
+        return _nothing
+    if str in map(type, items):
         return lambda row: tuple([a if a.__class__ is str else row[a] for a in items])
     if len(items) > 1:
         return itemgetter(*items)
-    if items:
-        (q,) = items
-        return itemgetter(slice(q, q + 1))
-    return lambda row: ()
+    (q,) = items
+    return itemgetter(slice(q, q + 1))
 
 
 class _Step:
-    """One body literal joined against a whole batch of rows.
-
-    The literal's arguments split into the one index lookup, the remaining
-    equality checks and the appended positions:
+    """One literal joined against a whole batch of rows, the join primitive
+    of every query.  The literal's arguments split into the one index
+    lookup, the remaining equality checks and the appended positions:
 
     - ``pos`` and ``src``: the lookup, the argument at fact position pos
       against ``src``, a row position (int) or a constant (str); pos is -1
@@ -359,58 +240,72 @@ class _Step:
       facts' values at those positions and the values a row demands there
       (constants when the lookup is not a row's);
     - ``rep_at`` and ``rep_of``: a variable repeated among the new ones
-      makes equal the facts' values at these two lists of positions
-      (None when no variable repeats);
+      makes equal the facts' values at these two lists of positions (None
+      when none repeats); ``pair``, the two positions when one repeat is
+      all a fact is checked for;
     - ``appends``: the fact positions of the new variables, in binding
       order, appended to each row; empty when nothing later reads them,
       and the step then keeps each row that some fact matches, once.
 
-    A literal with no new variable is a membership test: ``member``
-    builds its fact from a row.  A scan that checks nothing and appends
-    every argument in order (``whole``) takes given facts as its rows."""
+    A literal with no new variable is a membership test: ``member`` builds
+    its fact from a row.  A scan that checks nothing and appends every
+    argument in order (``whole``) takes the scanned facts as its rows."""
 
     __slots__ = ("key", "pos", "src", "filtered", "check_at", "check_of",
-                 "rep_at", "rep_of", "appends", "get", "member", "whole")
+                 "rep_at", "rep_of", "pair", "appends", "get", "member", "whole")
 
-    def __init__(self, lit: CompiledLiteral, at: dict[int, int], live: set[int], scan: bool):
+    def __init__(self, lit: CompiledLiteral, at: dict[int, int], live: set[Arg], scan: bool):
         key, args = lit
         self.key = key
-        self.pos, self.src = -1, None
-        self.member: Optional[Callable[[Row], Fact]] = None
-        checked: list[tuple[int, Arg]] = []
+        self.pos = -1
+        self.src = self.member = self.rep_at = self.rep_of = self.pair = None
+        self.check_at = self.check_of = self.get = _nothing
+        self.appends: tuple[int, ...] = ()
+        self.filtered = self.whole = False
+        # the bound arguments' fact positions and what a row demands there
+        check_at: list[int] = []
+        check_of: list[Arg] = []
         repeats: list[tuple[int, int]] = []
         first: dict[int, int] = {}  # new slot -> its first fact position
+        bound = -1  # the first check on a row position
         for j, a in enumerate(args):
-            if a.__class__ is str or a in at:
-                checked.append((j, a if a.__class__ is str else at[a]))  # type: ignore[index]
+            if a.__class__ is str:
+                check_at.append(j)
+                check_of.append(a)
+            elif a in at:
+                if bound < 0:
+                    bound = len(check_at)
+                check_at.append(j)
+                check_of.append(at[a])  # type: ignore[index]
             elif a in first:
-                repeats.append((first[a], j))
+                repeats.append((first[a], j))  # type: ignore[index]
             else:
                 first[a] = j  # type: ignore[index]
         if not first:
-            self.member = _projector([v for _, v in checked])
-        elif not scan:
+            self.member = _projector(check_of)
+            return
+        if check_at and not scan:
             # a row position is the selective lookup; a constant picks one
             # bucket for the whole batch
-            lookup = next((c for c in checked if c[1].__class__ is int), None) \
-                or next(iter(checked), None)
-            if lookup is not None:
-                checked.remove(lookup)
-                self.pos, self.src = lookup
-        self.filtered = bool(checked or repeats)
-        self.check_at = _projector([j for j, _ in checked])
-        self.check_of = _projector([v for _, v in checked])
-        self.rep_at = itemgetter(*[j for j, _ in repeats]) if repeats else None
-        self.rep_of = itemgetter(*[k for _, k in repeats]) if repeats else None
-        self.appends: tuple[int, ...] = ()
-        if self.member is None and live & first.keys():
+            k = max(bound, 0)
+            self.pos, self.src = check_at.pop(k), check_of.pop(k)
+        self.filtered = bool(check_at or repeats)
+        if check_at:
+            self.check_at, self.check_of = _projector(check_at), _projector(check_of)
+        if repeats:
+            self.rep_at = itemgetter(*[j for j, _ in repeats])
+            self.rep_of = itemgetter(*[k for _, k in repeats])
+            if len(repeats) == 1 and not check_at:
+                self.pair = repeats[0]
+        if live & first.keys():
             self.appends = tuple(first.values())
+            self.get = _projector(self.appends)
             for s in first:
                 at[s] = len(at)
-        self.get = _projector(self.appends)
         # counted on the literal's arguments: a pack's head step joins
         # (index, *args) facts under the head's predicate key
-        self.whole = not self.filtered and self.appends == tuple(range(len(args)))
+        self.whole = not self.filtered and len(self.appends) == len(args) and \
+            self.appends == tuple(range(len(args)))
 
     def _matches(self, facts: Collection[Fact], want: tuple) -> Collection[Fact]:
         if not self.filtered:
@@ -418,6 +313,9 @@ class _Step:
         check_at, rep_at, rep_of = self.check_at, self.rep_at, self.rep_of
         if rep_at is None:
             return [f for f in facts if check_at(f) == want]
+        if self.pair is not None:
+            j, k = self.pair
+            return [f for f in facts if f[j] == f[k]]
         return [f for f in facts if (not want or check_at(f) == want) and rep_at(f) == rep_of(f)]
 
     def run(self, store: FactStore, rows: list[Row],
@@ -435,7 +333,7 @@ class _Step:
             if facts is None:
                 facts = store.tuples(self.key) if src is None else \
                     store._index(self.key, self.pos).get(src, ())  # type: ignore[arg-type]
-            elif self.whole and rows == [()]:
+            if self.whole and rows == [()]:
                 return list(facts)
             cands = self._matches(facts, self.check_of(()))
             if not self.appends:
@@ -459,12 +357,56 @@ class _Step:
         return out
 
 
+def _chain(body: Sequence[CompiledLiteral], at: dict[int, int], needed: set[Arg],
+           first: Optional[int] = None) -> tuple[_Step, ...]:
+    """The body literals compiled into steps in a static join order: the
+    first one, when given, as a step scanning given facts, then greedily
+    the literal with the most bound arguments (a literal with none free
+    first; ties keep the body's order).  Rows start with the slots of at
+    (slot -> row position), which grows as steps append new variables: a
+    step does so when a later step, or the caller (needed), reads one."""
+    order = [] if first is None else [first]
+    rest = [i for i in range(len(body)) if i != first]
+    if len(rest) > 1:
+        bound: set[Arg] = {*at, *(body[first][1] if order else ())}  # type: ignore[index]
+
+        def rank(i: int) -> tuple[bool, int]:
+            free = sum(1 for a in body[i][1] if a.__class__ is int and a not in bound)
+            return (free > 0, free - len(body[i][1]))
+
+        while len(rest) > 1:
+            i = min(rest, key=rank)
+            rest.remove(i)
+            order.append(i)
+            bound.update(body[i][1])
+    order += rest
+    # the slots each step must bind for the later steps and the caller
+    # (a constant among them matches no slot)
+    live = [needed]
+    for i in reversed(order[1:]):
+        live.append(live[-1].union(body[i][1]))  # type: ignore[arg-type]
+    steps = []
+    for i, after in zip(order, reversed(live)):
+        steps.append(_Step(body[i], at, after, scan=not steps and first is not None))
+    return tuple(steps)
+
+
+def _run(steps: Sequence[_Step], store: FactStore, rows: list[Row],
+         facts: Optional[Collection[Fact]] = None) -> list[Row]:
+    """The rows joined through the steps (a scanning first step scans the
+    given facts), stopping at the first empty batch."""
+    for step in steps:
+        rows = step.run(store, rows, facts)
+        if not rows:
+            break
+        facts = None
+    return rows
+
+
 class _Pipeline:
-    """A rule body compiled for fixpoint rounds: its literals as steps in a
-    static join order, the first one fixed when the pipeline starts from
-    a delta, then greedily the literal with the most bound arguments
-    (a literal with none free first; ties keep the plan's order), and the
-    head as a projection of the final rows.
+    """A rule body compiled for fixpoint rounds: its literals as a chain of
+    steps (``_chain``), the first one fixed when the pipeline starts from
+    a delta, and the head as a projection of the final rows.
 
     When the last step is an unfiltered index lookup appending one value,
     ``last`` takes its place after ``steps``: one comprehension builds
@@ -475,30 +417,8 @@ class _Pipeline:
 
     def __init__(self, body: Sequence[CompiledLiteral], head: CompiledLiteral,
                  first: Optional[int]):
-        rest = [i for i in range(len(body)) if i != first]
-        order = [] if first is None else [first]
-        bound: set[Arg] = set() if first is None else set(body[first][1])
-
-        def rank(i: int) -> tuple[bool, int]:
-            args = body[i][1]
-            free = sum(1 for a in args if a.__class__ is int and a not in bound)
-            return (free > 0, free - len(args))
-
-        while rest:
-            i = min(rest, key=rank)
-            rest.remove(i)
-            order.append(i)
-            bound.update(body[i][1])
-        # the slots each step must bind for the later steps and the head
-        live: list[set[int]] = []
-        needed = {a for a in head[1] if a.__class__ is int}
-        for i in reversed(order):
-            live.append(set(needed))
-            needed.update(a for a in body[i][1] if a.__class__ is int)  # type: ignore[misc]
-        live.reverse()
         at: dict[int, int] = {}
-        self.steps = tuple(_Step(body[i], at, needed_after, scan=(k == 0 and first is not None))
-                           for k, (i, needed_after) in enumerate(zip(order, live)))
+        self.steps = _chain(body, at, set(head[1]), first)  # type: ignore[arg-type]
         items = [a if a.__class__ is str else at[a] for a in head[1]]
         self.head = _projector(items)
         self.last: Optional[_LastStep] = None
@@ -511,11 +431,9 @@ class _Pipeline:
     def run(self, store: FactStore, delta: Optional[Collection[Fact]] = None) -> Iterable[Fact]:
         """The head facts the body derives, starting from the given delta
         facts of the first literal when the pipeline has one."""
-        rows: list[Row] = [()]
-        for k, step in enumerate(self.steps):
-            rows = step.run(store, rows, delta if k == 0 else None)
-            if not rows:
-                return ()
+        rows = _run(self.steps, store, [()], delta)
+        if not rows:
+            return ()
         if self.last is not None:
             return self.last(store, rows)
         return map(self.head, rows)
@@ -624,7 +542,7 @@ def head_binding(rule: Rule, example: Literal) -> Optional[Substitution]:
     theta: Substitution = {}
     for t, e in zip(rule.head.args, example.args):
         if isinstance(t, Const):
-            if t.name != e.name:  # type: ignore[union-attr]
+            if t.name != e.name:
                 return None
         else:
             bound = theta.get(t.name)
@@ -705,8 +623,8 @@ class CoveragePack:
             state = self._extend(state, order[k], keep=False)
         _, rows = state
         if rows and unreached:
-            plan = _plan(frozenset(unreached))
-            if not _satisfiable(self.store, plan.body, plan.binding()):
+            comps = _components(_plan(frozenset(unreached)).body, ())
+            if not all(_run(_chain(lits, {}, set()), self.store, [()]) for _, lits in comps):
                 return 0
         mask = 0
         for i in {row[0] for row in rows}:
@@ -778,14 +696,18 @@ def covers_rule(store: FactStore, rule: Rule, examples: Sequence[Literal],
     return pack.mask(rule)
 
 
+# ---------------------------------------------------------------------------
+# implication queries
+# ---------------------------------------------------------------------------
+
 def _components(lits: Sequence[CompiledLiteral],
-                b: Binding) -> list[tuple[set[int], list[CompiledLiteral]]]:
-    """The literals split into the components that chains of free slots
-    under b join, each with its free slots and its literals in the given
-    order; a literal with no free slot is a component of its own."""
+                bound: Collection[int]) -> list[tuple[set[int], list[CompiledLiteral]]]:
+    """The literals split into the components that chains of slots outside
+    bound join, each with those slots and its literals in the given
+    order; a literal with no such slot is a component of its own."""
     comps: list[tuple[set[int], list[int]]] = []
     for i, (_, args) in enumerate(lits):
-        slots = {a for a in args if a.__class__ is int and b[a] is None}
+        slots = {a for a in args if a.__class__ is int and a not in bound}
         members = [i]
         for comp in [c for c in comps if c[0] & slots]:
             comps.remove(comp)
@@ -795,26 +717,72 @@ def _components(lits: Sequence[CompiledLiteral],
     return [(slots, [lits[i] for i in sorted(members)]) for slots, members in comps]
 
 
-def _holds_every_grounding(store: FactStore, key: PredKey, pat: tuple,
-                           lone_at: Sequence[int], repeats: list[tuple[int, int]],
-                           names: set[str], need: int) -> bool:
-    """Whether the facts matching the pattern (None at the positions of
-    the lone variables) hold every grounding of the lone variables over
-    the domain names, i.e. their in-domain projections onto the lone
-    variables' first positions number need = |names|^k.  Facts must also
-    agree at the repeats of a lone variable."""
-    bucket, pos = store._bucket(key, pat)
-    if len(bucket) < need:
-        return False
-    checks = [(j, v) for j, v in enumerate(pat) if v is not None and j != pos]
-    facts = _filter(bucket, checks, repeats) if checks or repeats else bucket
-    if len(facts) < need:
-        return False
-    if len(lone_at) == 1:
-        (j,) = lone_at
-        return len(names.intersection([f[j] for f in facts])) == need
-    get = itemgetter(*lone_at)
-    return len({p for p in map(get, facts) if names.issuperset(p)}) == need
+class _Query:
+    """``implies`` compiled for one plan, whose head is the tested literal,
+    and one tuple of seeded slots, whose values form the first row:
+
+    - ``apart``: an existential chain per body component (``_components``)
+      sharing no unbound slot with the literal, checked once;
+    - ``steps``: the other components, one chain keeping the literal's
+      unbound slots that occur in the body, its shared slots;
+    - ``key``: a final row's projection onto the seeded and shared values,
+      a binding (None when the rows are that);
+    - ``last``: the literal, one step over the distinct bindings: a
+      membership test, or a step appending the values of its ``lone``
+      unbound slots, the ones in no body literal."""
+
+    __slots__ = ("apart", "steps", "key", "last", "lone")
+
+    def __init__(self, plan: _Plan, seeded: tuple[int, ...]):
+        at = dict(zip(seeded, range(len(seeded))))
+        free = {a for a in plan.head[1] if a.__class__ is int and a not in at}  # type: ignore
+        # no component is apart when every body literal meets the literal
+        relevant: Sequence[CompiledLiteral] = plan.body
+        self.apart = []
+        if not all(free.intersection(args) for _, args in plan.body):
+            relevant = []
+            for slots, lits in _components(plan.body, at):
+                if slots & free:
+                    relevant += lits
+                else:
+                    self.apart.append(_chain(lits, dict(at), set()))
+        shared = free.intersection([a for _, args in relevant for a in args])
+        self.steps = _chain(relevant, at, shared)
+        kept = [*seeded, *sorted(shared, key=at.__getitem__)]
+        # in row order: the final rows are the bindings if they hold no more
+        self.key = None
+        if len(kept) < len(at):
+            self.key = _projector([at[s] for s in kept])
+            at = dict(zip(kept, range(len(kept))))
+        lone = free - shared
+        self.lone = len(lone)
+        self.last = _Step(plan.head, at, lone, False)  # type: ignore[arg-type]
+
+    def holds(self, store: FactStore, row: Row, domain: Sequence[Const]) -> bool:
+        """Whether under the seed values row every binding with its shared
+        values in the domain grounds the literal to facts for every value
+        of its lone variables in the domain: |domain|^k distinct in-domain
+        values appended for k of them, or a fact for none."""
+        for chain in self.apart:
+            if not _run(chain, store, [row]):
+                return True  # an unsatisfiable body implies anything
+        # the bindings, distinct: a step's rows are (row, fact) extensions
+        rows = _run(self.steps, store, [row])
+        if self.key is not None:
+            rows = list(set(map(self.key, rows)))
+        if not rows:
+            return True
+        width = len(rows[0])  # the seed values, then the shared ones
+        if width > len(row) or self.lone:
+            names = {c.name for c in domain}
+            if width > len(row):
+                rows = [k for k in rows if names.issuperset(k[len(row):])]
+        out = self.last.run(store, rows)
+        if not self.lone:
+            return len(out) == len(rows)
+        # a binding has at most |domain|^k distinct in-domain groundings
+        need = len(names) ** self.lone * len(rows)
+        return len(out) >= need and len([r for r in out if names.issuperset(r[width:])]) == need
 
 
 def implies(
@@ -828,74 +796,12 @@ def implies(
     the seed) over the given constant domain that satisfies the body also
     satisfies lit.  Body variables absent from lit range over the store.
 
-    The query is planned once, before the first join: under the seed the
-    body splits into components, the literals that chains of free
-    variables join (a literal with no free variable is one of its own).
-
-    1. Each component sharing no free variable with lit gets one
-       satisfiability check: an unsatisfiable component makes the body
-       unsatisfiable, and such a body implies anything.
-    2. Body-first: enumerate the solutions of the other components,
-       skipping those that bind a variable of lit outside the domain.
-    3. Under each distinct solution, lit's lone variables (free variables
-       in no body literal) must take every grounding over the domain: one
-       index bucket must hold |domain|^k facts with distinct in-domain
-       projections onto the k lone variables.  Without a lone variable
-       this is one membership test.
-
-    No literal takes part in two of these steps, and no step ranges a
-    variable over the domain, so no query pays |domain| satisfiability
-    checks.
+    The query is compiled once per body, literal and set of seeded
+    variables (a ``_Query``), and the seed's values are its first row.
+    No query pays a join per domain value.
     """
     plan = _plan(frozenset(body), lit)
-    b = plan.binding(seed)
-    key, args = plan.head  # type: ignore[misc]
-    free = {a for a in args if a.__class__ is int and b[a] is None}
-    relevant: list[CompiledLiteral] = []
-    for slots, lits in _components(plan.body, b):
-        if slots & free:
-            relevant += lits
-        elif not _satisfiable(store, lits, b):
-            return True
-    shared = free.intersection([a for _, rel_args in relevant for a in rel_args])
-    lone_first: dict[int, int] = {}
-    repeats: list[tuple[int, int]] = []
-    for j, a in enumerate(args):
-        if a in free and a not in shared:
-            if a in lone_first:
-                repeats.append((j, lone_first[a]))  # type: ignore[index]
-            else:
-                lone_first[a] = j  # type: ignore[index]
-    solutions = _solve(store, relevant, b)
-    if lone_first:
-        names = {c.name for c in domain}
-        lone_at = list(lone_first.values())
-        need = len(names) ** len(lone_at)
-        seen: set[tuple] = set()
-
-        def refutes(sol: Binding) -> bool:
-            pat = _ground(args, sol)
-            if pat in seen:
-                return False
-            seen.add(pat)
-            return not _holds_every_grounding(store, key, pat, lone_at, repeats, names, need)
-
-        refuting = filter(refutes, solutions)
-    else:
-        facts = store.tuples(key)
-        refuting = (sol for sol in solutions if _ground(args, sol) not in facts)
-    if shared:
-        refuting = _in_domain(refuting, shared, domain)
-    return next(refuting, None) is None
-
-
-def _in_domain(solutions: Iterable[Binding], slots: set[int],
-               domain: Sequence[Const]) -> Iterator[Binding]:
-    """The solutions binding every given slot to a constant of the domain,
-    whose names are collected only once a solution arrives."""
-    names: Optional[set[str]] = None
-    for sol in solutions:
-        if names is None:
-            names = {c.name for c in domain}
-        if all(sol[s] in names for s in slots):
-            yield sol
+    seeded = [(s, t.name) for name, s in plan.slot.items()
+              if isinstance(t := seed.get(name), Const)] if seed else []
+    query = plan.query(tuple([s for s, _ in seeded]))
+    return query.holds(store, tuple([v for _, v in seeded]), domain)

@@ -26,7 +26,6 @@ from .logic import (
     abstract_key,
     concrete_key,
     in_search_space,
-    is_basic,
     iter_renamings,
     rename_literal,
     renamed_subrule,
@@ -347,11 +346,13 @@ class ConstraintStore:
     def first_pointless_violation(
         self, ids: tuple[int, ...]
     ) -> Optional[tuple[Constraint, Rule, Literal, Rule]]:
-        if not self.count[ConstraintKind.POINTLESS_SUPER_RULE]:
+        # one target predicate: no rule of h is basic if one is flagged, else all are
+        if not self.count[ConstraintKind.POINTLESS_SUPER_RULE] or \
+                any(map(self.target_body.__getitem__, ids)):
             return None
         for rid in ids:
             m = self.pointless_match(rid)
-            if m is not None and is_basic(self.rules[rid], [self.rules[i] for i in ids]):
+            if m is not None:
                 return m
         return None
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .datalog import (Fact, FactStore, PredKey, _check_safe, _plan, _solve, covers_rule,
-                      head_binding, least_model)
+from .datalog import (Fact, FactStore, PredKey, _check_safe, covers_rule, head_binding,
+                      least_model)
 from .deadline import check_deadline
 from .generate import Constraint, ConstraintKind, _literal_key, _pointless_match
 from .logic import (Const, Hypothesis, Literal, Rule, Substitution, Var, apply_subst,
@@ -105,12 +105,32 @@ def satisfying_substitutions(
     seed: Optional[Substitution] = None,
 ) -> Iterator[Substitution]:
     """All substitutions extending seed that ground every body literal to a
-    fact of the store.  An empty body yields the seed itself."""
-    plan = _plan(frozenset(body))
+    fact of the store.  An empty body yields the seed itself.  A plain
+    backtracking join, one literal at a time in the given order, each
+    matched against the facts of the store's index on its first bound
+    argument; it shares no join code with ``razor.datalog``, whose
+    queries the tests check against it."""
+    body = list(body)
     base: Substitution = dict(seed) if seed else {}
-    for b in _solve(store, plan.body, plan.binding(seed)):
+
+    def extend(i: int, values: dict[str, str]) -> Iterator[dict[str, str]]:
+        if i == len(body):
+            yield values
+            return
+        lit = body[i]
+        bound = [(j, t.name if isinstance(t, Const) else values[t.name])
+                 for j, t in enumerate(lit.args) if isinstance(t, Const) or t.name in values]
+        facts = store._index(lit.pred_key, bound[0][0]).get(bound[0][1], ()) if bound \
+            else store.tuples(lit.pred_key)
+        for fact in facts:
+            new = dict(values)
+            if all(new.setdefault(t.name, v) == v if isinstance(t, Var) else t.name == v
+                   for t, v in zip(lit.args, fact)):
+                yield from extend(i + 1, new)
+
+    for values in extend(0, {name: t.name for name, t in base.items() if isinstance(t, Const)}):
         theta = dict(base)
-        theta.update((name, Const(val)) for name, val in zip(plan.names, b))  # type: ignore[arg-type]
+        theta.update((name, Const(val)) for name, val in values.items())
         yield theta
 
 

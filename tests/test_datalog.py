@@ -730,8 +730,18 @@ def test_substitutions_match_exhaustive_grounding_on_generated_stores(query):
     assert _subs_set(store, body, seed) == want
 
 
+_GROUND_STORE = FactStore([ground("p", 1), ground("p", 2), ground("q", 1, 1)])
+
+
 @settings(max_examples=400, deadline=None)
 @given(_implication_queries())
+# a false ground body literal: the body is unsatisfiable, so implied
+@example((_GROUND_STORE, [lit("q", "1", "2"), lit("p", "A")], lit("r", "A", "A"),
+          [Const("1"), Const("2")], None))
+# a false ground literal beside a satisfiable body: not implied
+@example((_GROUND_STORE, [lit("p", "A")], lit("q", "1", "2"), [Const("1"), Const("2")], None))
+# a true ground literal: implied
+@example((_GROUND_STORE, [lit("p", "A")], lit("q", "1", "1"), [Const("1"), Const("2")], None))
 def test_implies_agrees_with_reference_on_generated_stores(query):
     store, body, target, domain, seed = query
     assert implies(store, body, target, domain, seed) == \
@@ -788,11 +798,25 @@ def test_implies_agrees_with_reference_on_lone_variable_queries(query):
         implies_by_refutation(store, body, target, domain, seed)
 
 
+def _count_joins(monkeypatch):
+    """The predicate keys of the literals the join step joins, one per
+    call of datalog._Step.run."""
+    from razor import datalog
+
+    calls = []
+    real = datalog._Step.run
+
+    def counting(step, *args, **kwargs):
+        calls.append(step.key)
+        return real(step, *args, **kwargs)
+
+    monkeypatch.setattr(datalog._Step, "run", counting)
+    return calls
+
+
 def test_lone_variable_query_makes_no_check_per_domain_value(monkeypatch):
     # a 200-node chain: link(D,B) asks, for each edge(A,B), whether every
     # node D links to B; node(D) holds for every D
-    from razor import datalog
-
     n = 200
     store = FactStore()
     for i in range(n):
@@ -801,44 +825,34 @@ def test_lone_variable_query_makes_no_check_per_domain_value(monkeypatch):
             store.add(ground("edge", f"n{i}", f"n{i + 1}"))
             store.add(ground("link", f"n{i}", f"n{i + 1}"))
     domain = [Const(f"n{i}") for i in range(n)]
-    calls = []
-    real = datalog._satisfiable
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(datalog, "_satisfiable", counting)
+    calls = _count_joins(monkeypatch)
     body = [lit("edge", "A", "B")]
     for target, implied in [(lit("link", "D", "B"), False), (lit("node", "D"), True),
                             (lit("edge", "D", "E"), False)]:
         calls.clear()
         assert implies(store, body, target, domain) == implied
-        # at most one check of the body component apart from the target,
-        # none per value of D
-        assert len(calls) <= 1, target
+        # one join of the body literal, apart from the target or not, and
+        # one of the target over all bindings; none per value of D
+        assert calls == [("edge", 2), target.pred_key], target
 
 
 def test_implies_checks_a_component_apart_from_the_target_once(monkeypatch):
     # succ(C,C) shares no variable with p(A,B) or q(B): its one check must
     # not be repeated for each of the 1,000 solutions of p(a,B)
-    from razor import datalog
-
     n = 1000
     store = FactStore([*(ground("p", "a", f"b{i}") for i in range(n)),
                        *(ground("succ", f"c{i}", f"c{i + 1}") for i in range(n))])
-    calls = []
-    real = datalog._filter
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(datalog, "_filter", counting)
+    calls = _count_joins(monkeypatch)
     body = [lit("p", "A", "B"), lit("succ", "C", "C")]
     seed = {"A": Const("a")}
     assert implies(store, body, lit("q", "B"), [Const("b0")], seed)
-    assert len(calls) == 1
+    assert calls == [("succ", 2)]
+    # with succ(C,C) satisfiable the query goes on to p(a,B) and q(B):
+    # still one join each
+    store.add(ground("succ", "c0", "c0"))
+    calls.clear()
+    assert not implies(store, body, lit("q", "B"), [Const("b0")], seed)
+    assert sorted(calls) == [("p", 2), ("q", 1), ("succ", 2)]
 
 
 # ---------------------------------------------------------------------------
