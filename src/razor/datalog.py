@@ -219,7 +219,7 @@ def _projector(items: Sequence[Arg]) -> Callable[[tuple], tuple]:
     a position in it, a str item a constant."""
     if not items:
         return _nothing
-    if str in map(type, items):
+    if any(a.__class__ is str for a in items):
         return lambda row: tuple([a if a.__class__ is str else row[a] for a in items])
     if len(items) > 1:
         return itemgetter(*items)
@@ -241,8 +241,7 @@ class _Step:
       (constants when the lookup is not a row's);
     - ``rep_at`` and ``rep_of``: a variable repeated among the new ones
       makes equal the facts' values at these two lists of positions (None
-      when none repeats); ``pair``, the two positions when one repeat is
-      all a fact is checked for;
+      when none repeats);
     - ``appends``: the fact positions of the new variables, in binding
       order, appended to each row; empty when nothing later reads them,
       and the step then keeps each row that some fact matches, once.
@@ -252,13 +251,13 @@ class _Step:
     argument in order (``whole``) takes the scanned facts as its rows."""
 
     __slots__ = ("key", "pos", "src", "filtered", "check_at", "check_of",
-                 "rep_at", "rep_of", "pair", "appends", "get", "member", "whole")
+                 "rep_at", "rep_of", "appends", "get", "member", "whole")
 
     def __init__(self, lit: CompiledLiteral, at: dict[int, int], live: set[Arg], scan: bool):
         key, args = lit
         self.key = key
         self.pos = -1
-        self.src = self.member = self.rep_at = self.rep_of = self.pair = None
+        self.src = self.member = self.rep_at = self.rep_of = None
         self.check_at = self.check_of = self.get = _nothing
         self.appends: tuple[int, ...] = ()
         self.filtered = self.whole = False
@@ -295,8 +294,6 @@ class _Step:
         if repeats:
             self.rep_at = itemgetter(*[j for j, _ in repeats])
             self.rep_of = itemgetter(*[k for _, k in repeats])
-            if len(repeats) == 1 and not check_at:
-                self.pair = repeats[0]
         if live & first.keys():
             self.appends = tuple(first.values())
             self.get = _projector(self.appends)
@@ -304,8 +301,7 @@ class _Step:
                 at[s] = len(at)
         # counted on the literal's arguments: a pack's head step joins
         # (index, *args) facts under the head's predicate key
-        self.whole = not self.filtered and len(self.appends) == len(args) and \
-            self.appends == tuple(range(len(args)))
+        self.whole = not self.filtered and self.appends == tuple(range(len(args)))
 
     def _matches(self, facts: Collection[Fact], want: tuple) -> Collection[Fact]:
         if not self.filtered:
@@ -313,9 +309,6 @@ class _Step:
         check_at, rep_at, rep_of = self.check_at, self.rep_at, self.rep_of
         if rep_at is None:
             return [f for f in facts if check_at(f) == want]
-        if self.pair is not None:
-            j, k = self.pair
-            return [f for f in facts if f[j] == f[k]]
         return [f for f in facts if (not want or check_at(f) == want) and rep_at(f) == rep_of(f)]
 
     def run(self, store: FactStore, rows: list[Row],
@@ -542,7 +535,7 @@ def head_binding(rule: Rule, example: Literal) -> Optional[Substitution]:
     theta: Substitution = {}
     for t, e in zip(rule.head.args, example.args):
         if isinstance(t, Const):
-            if t.name != e.name:
+            if t.name != e.name:  # type: ignore[union-attr]
                 return None
         else:
             bound = theta.get(t.name)
@@ -736,16 +729,13 @@ class _Query:
     def __init__(self, plan: _Plan, seeded: tuple[int, ...]):
         at = dict(zip(seeded, range(len(seeded))))
         free = {a for a in plan.head[1] if a.__class__ is int and a not in at}  # type: ignore
-        # no component is apart when every body literal meets the literal
-        relevant: Sequence[CompiledLiteral] = plan.body
+        relevant: list[CompiledLiteral] = []
         self.apart = []
-        if not all(free.intersection(args) for _, args in plan.body):
-            relevant = []
-            for slots, lits in _components(plan.body, at):
-                if slots & free:
-                    relevant += lits
-                else:
-                    self.apart.append(_chain(lits, dict(at), set()))
+        for slots, lits in _components(plan.body, at):
+            if slots & free:
+                relevant += lits
+            else:
+                self.apart.append(_chain(lits, dict(at), set()))
         shared = free.intersection([a for _, args in relevant for a in args])
         self.steps = _chain(relevant, at, shared)
         kept = [*seeded, *sorted(shared, key=at.__getitem__)]
